@@ -145,9 +145,9 @@ int main() {
                               &program.object_names())
                     .c_str());
   }
-  std::printf("\nAID used %d intervention rounds (%llu re-executions); the "
+  std::printf("\nAID used %llu intervention rounds (%llu re-executions); the "
               "paper reports 5 rounds vs 11 worst-case for TAGT.\n",
-              report_or->rounds,
+              static_cast<unsigned long long>(report_or->rounds),
               (unsigned long long)report_or->executions);
   return 0;
 }

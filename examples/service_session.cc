@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "api/target_factory.h"
+#include "api/session_target.h"
 #include "core/engine.h"
 #include "net/socket.h"
 #include "service/client.h"
@@ -57,9 +57,9 @@ int Fail(const char* stage, const Status& status) {
   return 1;
 }
 
-DiscoveryReport SoloRun(const GroundTruthModel* model,
-                        const EngineOptions& options, int* error) {
-  auto target = MakeModelSessionTarget(model);
+DiscoveryReport SoloRun(const SubjectSpec& spec, const EngineOptions& options,
+                        int* error) {
+  auto target = MakeSessionTarget(spec);
   if (!target.ok()) { *error = Fail("target", target.status()); return {}; }
   auto dag = (*target)->BuildAcDag();
   if (!dag.ok()) { *error = Fail("dag", dag.status()); return {}; }
@@ -86,7 +86,7 @@ int RunConcurrent(const Endpoint& endpoint, int sessions) {
   for (int i = 0; i < sessions; ++i) {
     const EngineOptions& engine = presets[static_cast<size_t>(i) % 3];
     int error = 0;
-    solos.push_back(SoloRun(model.get(), engine, &error));
+    solos.push_back(SoloRun(spec, engine, &error));
     if (error != 0) return error;
     auto client = ServiceClient::Connect(endpoint);
     if (!client.ok()) return Fail("connect", client.status());
@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   const EngineOptions engine = EngineOptions::Aid();
 
   // The ground truth the daemon is held to: an uninterrupted local run.
-  auto target = MakeModelSessionTarget(model.get());
+  auto target = MakeSessionTarget(spec);
   if (!target.ok()) return Fail("target", target.status());
   auto dag = (*target)->BuildAcDag();
   if (!dag.ok()) return Fail("dag", dag.status());

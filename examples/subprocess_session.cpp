@@ -48,17 +48,19 @@ int main(int argc, char** argv) {
               model.size(), static_cast<unsigned long long>(crash_period),
               static_cast<unsigned long long>(hang_period));
 
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kFlakyModel;
+  spec.model = &model;
+  spec.manifest_probability = 0.7;
+  spec.flaky_seed = 5;
+  spec.crash_period = crash_period;
+  spec.hang_period = hang_period;
   TargetConfig config;
-  config.model = &model;
-  config.manifest_probability = 0.7;
-  config.flaky_seed = 5;
   config.isolation = Isolation::kSubprocess;
   config.subprocess.trial_deadline_ms = 500;  // hang -> SIGKILL after 500ms
-  config.subprocess.inject_crash_period = crash_period;
-  config.subprocess.inject_hang_period = hang_period;
 
   auto session_or = SessionBuilder()
-                        .WithTarget("flaky-model", config)
+                        .WithTarget(spec, config)
                         .WithTrials(3)
                         .WithParallelism(2)
                         .Build();
@@ -81,9 +83,9 @@ int main(int argc, char** argv) {
               (unsigned long long)report.discovery.timed_out_trials);
   std::printf("  child respawns:   %llu\n",
               (unsigned long long)report.discovery.respawns);
-  std::printf("  executions:       %llu (%d rounds)\n",
+  std::printf("  executions:       %llu (%llu rounds)\n",
               (unsigned long long)report.discovery.executions,
-              report.discovery.rounds);
+              (unsigned long long)report.discovery.rounds);
   if (report.has_root_cause()) {
     std::printf("\nroot cause pinned despite the carnage: %s\n",
                 report.root_cause.c_str());

@@ -50,8 +50,8 @@ inline EngineOptions MakeEngineOptions(EnginePreset preset) {
 struct SessionOptions {
   /// The engine configuration of the main discovery run. Carries the
   /// session's parallelism too (EngineOptions::parallelism): Session
-  /// propagates it to the TargetFactory so backends build exec/ replica
-  /// pools, and the engine treats parallelism > 1 as license for batched
+  /// propagates it to MakeSessionTarget, which builds the exec/ replica
+  /// pool, and the engine treats parallelism > 1 as license for batched
   /// linear-scan dispatch.
   EngineOptions engine = EngineOptions::Aid();
   /// Also run a TAGT baseline over the same target after the main run (the

@@ -94,9 +94,9 @@ std::string Session::Render(const SessionReport& report,
   return RenderReport(report.discovery, *dag(), options);
 }
 
-SessionBuilder& SessionBuilder::WithTarget(std::string backend,
+SessionBuilder& SessionBuilder::WithTarget(SubjectSpec spec,
                                            TargetConfig config) {
-  backend_ = std::move(backend);
+  subject_ = std::move(spec);
   config_ = std::move(config);
   prebuilt_target_.reset();
   return *this;
@@ -105,38 +105,42 @@ SessionBuilder& SessionBuilder::WithTarget(std::string backend,
 SessionBuilder& SessionBuilder::WithTarget(
     std::unique_ptr<SessionTarget> target) {
   prebuilt_target_ = std::move(target);
-  backend_.clear();
+  subject_.reset();
   return *this;
 }
 
 SessionBuilder& SessionBuilder::WithProgram(const Program* program,
                                             VmTargetOptions options) {
-  TargetConfig config;
-  config.program = program;
-  config.vm = options;
-  return WithTarget("vm", std::move(config));
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kVmProgram;
+  spec.program = program;
+  spec.vm = options;
+  return WithTarget(std::move(spec));
 }
 
 SessionBuilder& SessionBuilder::WithModel(const GroundTruthModel* model) {
-  TargetConfig config;
-  config.model = model;
-  return WithTarget("model", std::move(config));
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model;
+  return WithTarget(std::move(spec));
 }
 
 SessionBuilder& SessionBuilder::WithFlakyModel(const GroundTruthModel* model,
                                                double manifest_probability,
                                                uint64_t seed) {
-  TargetConfig config;
-  config.model = model;
-  config.manifest_probability = manifest_probability;
-  config.flaky_seed = seed;
-  return WithTarget("flaky-model", std::move(config));
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kFlakyModel;
+  spec.model = model;
+  spec.manifest_probability = manifest_probability;
+  spec.flaky_seed = seed;
+  return WithTarget(std::move(spec));
 }
 
 SessionBuilder& SessionBuilder::WithCaseStudy(std::string name) {
-  TargetConfig config;
-  config.case_study = std::move(name);
-  return WithTarget("case", std::move(config));
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kCase;
+  spec.case_key = std::move(name);
+  return WithTarget(std::move(spec));
 }
 
 SessionBuilder& SessionBuilder::WithEngine(EnginePreset preset) {
@@ -271,8 +275,8 @@ Result<Session> SessionBuilder::Build() {
   options_.tagt_baseline.parallelism = parallelism;
   config_.parallelism = parallelism;
   if (scheduler_.has_value()) {
-    // Validated here too (not only in the factory) so a bad knob fails the
-    // build even on paths that never reach a replica pool.
+    // Validated here too (not only in MakeSessionTarget) so a bad knob
+    // fails the build even on paths that never reach a replica pool.
     const Status valid = ValidateSchedulerOptions(*scheduler_);
     if (!valid.ok()) {
       return Status(valid.code(), "SessionBuilder: " + valid.message());
@@ -317,33 +321,37 @@ Result<Session> SessionBuilder::Build() {
   std::unique_ptr<SessionTarget> target = std::move(prebuilt_target_);
   if (target != nullptr && config_.parallelism > 1) {
     return Status::InvalidArgument(
-        "SessionBuilder: parallelism > 1 requires a factory backend; a "
-        "prebuilt SessionTarget cannot be replicated from outside (wrap its "
-        "intervention target in exec::ParallelTarget before building it, "
-        "and use WithBatchedDispatch(true) if only batched linear-scan "
-        "dispatch is wanted)");
+        "SessionBuilder: parallelism > 1 requires a subject target "
+        "(WithTarget(spec), WithProgram, WithModel, WithFlakyModel or "
+        "WithCaseStudy); a prebuilt SessionTarget cannot be replicated from "
+        "outside (wrap its intervention target in exec::ParallelTarget "
+        "before building it, and use WithBatchedDispatch(true) if only "
+        "batched linear-scan dispatch is wanted)");
   }
   if (target != nullptr && config_.isolation == Isolation::kSubprocess) {
     return Status::InvalidArgument(
-        "SessionBuilder: process isolation requires a factory backend; a "
-        "prebuilt SessionTarget cannot be re-hosted in a subprocess (build "
-        "it over proc::SubprocessTarget instead)");
+        "SessionBuilder: process isolation requires a subject target "
+        "(WithTarget(spec), WithProgram, WithModel, WithFlakyModel or "
+        "WithCaseStudy); a prebuilt SessionTarget cannot be re-hosted in a "
+        "subprocess (build it over proc::SubprocessTarget instead)");
   }
   if (target != nullptr && !config_.fleet.empty()) {
     return Status::InvalidArgument(
-        "SessionBuilder: a remote fleet requires a factory backend; a "
-        "prebuilt SessionTarget cannot be shipped to runners (build it over "
-        "net::FleetTarget instead)");
+        "SessionBuilder: a remote fleet requires a subject target "
+        "(WithTarget(spec), WithProgram, WithModel, WithFlakyModel or "
+        "WithCaseStudy); a prebuilt SessionTarget cannot be shipped to "
+        "runners (build it over net::FleetTarget instead)");
   }
   if (target != nullptr && analysis_.has_value() && analysis_->enabled) {
     return Status::InvalidArgument(
-        "SessionBuilder: static analysis requires a factory backend; a "
-        "prebuilt SessionTarget observes (and builds its DAG) before the "
-        "session could analyze it (pass AnalysisOptions to the backend "
-        "directly, e.g. VmTargetOptions::analysis)");
+        "SessionBuilder: static analysis requires a subject target "
+        "(WithTarget(spec), WithProgram, WithModel, WithFlakyModel or "
+        "WithCaseStudy); a prebuilt SessionTarget observes (and builds its "
+        "DAG) before the session could analyze it (pass AnalysisOptions to "
+        "the backend directly, e.g. VmTargetOptions::analysis)");
   }
   if (target == nullptr) {
-    if (backend_.empty()) {
+    if (!subject_.has_value()) {
       return Status::InvalidArgument(
           "SessionBuilder: no target configured (call WithTarget / "
           "WithProgram / WithModel / WithCaseStudy first)");
@@ -354,7 +362,7 @@ Result<Session> SessionBuilder::Build() {
     Tracer* tracer =
         telemetry_ != nullptr ? telemetry_->tracer() : nullptr;
     ScopedSpan observation_span(tracer, "observation");
-    AID_ASSIGN_OR_RETURN(target, TargetFactory::Create(backend_, config_));
+    AID_ASSIGN_OR_RETURN(target, MakeSessionTarget(*subject_, config_));
   }
   return Session(std::move(target), options_, observer_, telemetry_);
 }

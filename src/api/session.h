@@ -8,7 +8,7 @@
 //
 //   auto session_or = aid::SessionBuilder()
 //                         .WithProgram(&program)        // or WithModel(...),
-//                                                       // WithTarget("vm",..)
+//                                                       // WithTarget(spec,..)
 //                         .WithEngine(EnginePreset::kAid)
 //                         .WithTrials(3)
 //                         .WithObserver(&progress)      // optional
@@ -30,7 +30,7 @@
 
 #include "api/observer.h"
 #include "api/options.h"
-#include "api/target_factory.h"
+#include "api/session_target.h"
 #include "core/engine.h"
 #include "core/report.h"
 #include "telemetry/telemetry.h"
@@ -140,20 +140,22 @@ class Session {
 class SessionBuilder {
  public:
   // ----- target selection (exactly one required) ------------------------
-  /// Any backend registered with TargetFactory ("vm", "model", "case", ...).
-  SessionBuilder& WithTarget(std::string backend, TargetConfig config);
+  /// The subject `spec` describes, executing per `config`
+  /// (MakeSessionTarget). The builder's substrate methods below override
+  /// the matching `config` fields.
+  SessionBuilder& WithTarget(SubjectSpec spec, TargetConfig config = {});
   /// A pre-built custom backend (takes ownership).
   SessionBuilder& WithTarget(std::unique_ptr<SessionTarget> target);
-  /// Shorthand for the "vm" backend over `program`.
+  /// Shorthand for a kVmProgram subject over `program` (target "vm").
   SessionBuilder& WithProgram(const Program* program,
                               VmTargetOptions options = {});
-  /// Shorthand for the "model" backend over `model`.
+  /// Shorthand for a kModel subject over `model` (target "model").
   SessionBuilder& WithModel(const GroundTruthModel* model);
-  /// Shorthand for the "flaky-model" backend.
+  /// Shorthand for a kFlakyModel subject (target "flaky-model").
   SessionBuilder& WithFlakyModel(const GroundTruthModel* model,
                                  double manifest_probability,
                                  uint64_t seed = 1);
-  /// Shorthand for the "case:<name>" backend.
+  /// Shorthand for a kCase subject (target "case:<name>").
   SessionBuilder& WithCaseStudy(std::string name);
 
   // ----- engine configuration ------------------------------------------
@@ -198,8 +200,8 @@ class SessionBuilder {
   /// targets but can shift trial positions -- and thus decisions -- on
   /// nondeterministic (flaky) targets relative to an *unbatched* serial
   /// scan; compare against WithBatchedDispatch(true) for an apples-to-
-  /// apples serial baseline there. Default 1 = serial. Requires a factory
-  /// backend (WithTarget(name)/WithProgram/WithModel/WithCaseStudy);
+  /// apples serial baseline there. Default 1 = serial. Requires a subject
+  /// target (WithTarget(spec)/WithProgram/WithModel/WithCaseStudy);
   /// prebuilt SessionTargets cannot be replicated from outside. Values
   /// outside [1, kMaxParallelism] fail Build() with InvalidArgument.
   SessionBuilder& WithParallelism(int parallelism);
@@ -223,7 +225,7 @@ class SessionBuilder {
   /// (DiscoveryReport::{crashed,timed_out}_trials and ::respawns surface
   /// the counts). deadline 0 = none -- set one for subjects that may hang.
   /// Composes with WithParallelism(n): the pool becomes n isolated child
-  /// processes. Requires a factory backend, like WithParallelism. On
+  /// processes. Requires a subject target, like WithParallelism. On
   /// platforms without fork/exec, Build() fails with Unimplemented.
   SessionBuilder& WithProcessIsolation(int trial_deadline_ms = 0);
   /// Run every intervention replica on a remote fleet of aid_runner
@@ -236,8 +238,8 @@ class SessionBuilder {
   /// the distinct timed-out outcome (deadline 0 = none). Counters surface
   /// in DiscoveryReport::{crashed,timed_out}_trials and ::respawns.
   /// Placement never affects results: reports are bit-identical to the
-  /// in-process run at any fleet size or worker count. Requires a factory
-  /// backend; mutually exclusive with WithProcessIsolation (the fleet
+  /// in-process run at any fleet size or worker count. Requires a subject
+  /// target; mutually exclusive with WithProcessIsolation (the fleet
   /// already sandboxes every replica). On platforms without sockets,
   /// Build() fails with Unimplemented. See docs/remote_protocol.md.
   SessionBuilder& WithRemoteFleet(std::vector<std::string> endpoints,
@@ -253,7 +255,7 @@ class SessionBuilder {
   /// channels. Pruning is sound -- the discovered root cause is
   /// bit-identical, only cheaper to reach -- and what it did is reported in
   /// DiscoveryReport::analysis. The no-argument overload enables all
-  /// passes. Requires a factory backend, like WithParallelism.
+  /// passes. Requires a subject target, like WithParallelism.
   SessionBuilder& WithStaticAnalysis(AnalysisOptions options);
   SessionBuilder& WithStaticAnalysis() {
     AnalysisOptions options;
@@ -286,7 +288,7 @@ class SessionBuilder {
   Result<Session> Build();
 
  private:
-  std::string backend_;
+  std::optional<SubjectSpec> subject_;  ///< set iff WithTarget(spec)
   TargetConfig config_;
   std::unique_ptr<SessionTarget> prebuilt_target_;
   SessionOptions options_;

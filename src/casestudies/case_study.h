@@ -59,9 +59,9 @@ Result<CaseStudy> MakeHealthTelemetryRace();
 Result<std::vector<CaseStudy>> AllCaseStudies();
 
 /// The canonical key -> factory mapping ("npgsql", "kafka", "cosmosdb",
-/// "network", "buildandtest", "healthtelemetry"). Both the TargetFactory
-/// presets and the subprocess subject host resolve case studies through
-/// this single registry, so a study added here is reachable from every
+/// "network", "buildandtest", "healthtelemetry"). OpenSubject resolves
+/// every kCase SubjectSpec through this single registry, in a session and
+/// in a subject host alike, so a study added here is reachable from every
 /// execution mode at once. NotFound for unknown keys.
 Result<CaseStudy> MakeCaseStudyByKey(const std::string& key);
 /// The keys MakeCaseStudyByKey accepts, in Figure 7 order.

@@ -73,8 +73,8 @@ struct EngineOptions {
   /// spawns no threads itself -- exec::ParallelTarget does -- but
   /// parallelism > 1 implies batched linear-scan dispatch (a parallel
   /// backend is pointless when rounds arrive one span at a time), and
-  /// aid::Session propagates the value to the TargetFactory so presets
-  /// build replica pools (see src/exec/). Default 1 = serial dispatch,
+  /// aid::Session propagates the value to MakeSessionTarget, which builds
+  /// the replica pool (see src/exec/). Default 1 = serial dispatch,
   /// today's behavior.
   int parallelism = 1;
   /// Progress callbacks (non-owning; may be null). The engine reports the

@@ -36,16 +36,7 @@ Result<std::unique_ptr<RemoteTarget>> RemoteTarget::Create(
         "RemoteTarget: connect_attempts must be >= 1, got " +
         std::to_string(options.connect_attempts));
   }
-  SubjectSpec effective = spec;
-  // Injection knobs live on the options (the session-facing surface) but
-  // execute in the runner's session child, so they ride inside the spec.
-  if (options.inject_crash_period != 0) {
-    effective.crash_period = options.inject_crash_period;
-  }
-  if (options.inject_hang_period != 0) {
-    effective.hang_period = options.inject_hang_period;
-  }
-  AID_ASSIGN_OR_RETURN(std::string bytes, EncodeSubjectSpec(effective));
+  AID_ASSIGN_OR_RETURN(std::string bytes, EncodeSubjectSpec(spec));
   return std::unique_ptr<RemoteTarget>(new RemoteTarget(
       std::make_shared<const std::string>(std::move(bytes)),
       std::move(endpoints), std::move(options)));

@@ -71,11 +71,6 @@ struct RemoteOptions {
   /// SubprocessOptions::max_respawns).
   int max_reconnects = 1000;
 
-  /// Deterministic fault injection forwarded into the subject spec: the
-  /// runner's session child aborts / hangs on trials hitting the period.
-  uint64_t inject_crash_period = 0;
-  uint64_t inject_hang_period = 0;
-
   /// When nonzero, every handshake cross-checks the runner's catalog size
   /// against this value and fails with Internal on mismatch.
   uint32_t expected_catalog_size = 0;

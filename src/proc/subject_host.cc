@@ -6,11 +6,8 @@
 #include <utility>
 
 #include "analysis/analyzer.h"
-#include "casestudies/case_study.h"
 #include "common/logging.h"
-#include "core/vm_target.h"
 #include "proc/wire.h"
-#include "synth/flaky_target.h"
 #include "telemetry/json.h"
 
 #if AID_PROC_SUPPORTED
@@ -20,56 +17,15 @@
 namespace aid {
 namespace {
 
-/// Owns whatever the spec's target borrows (a case study's program) next to
-/// the target itself, in destruction-safe order.
-struct HostSubject {
-  std::unique_ptr<CaseStudy> study;
-  std::unique_ptr<ReplicableTarget> target;
-  size_t catalog_size = 0;
-};
-
-Result<HostSubject> BuildHostSubject(const OwnedSubjectSpec& spec) {
-  HostSubject subject;
-  switch (spec.kind) {
-    case SubjectKind::kModel:
-    case SubjectKind::kFlakyModel: {
-      if (spec.model == nullptr) {
-        return Status::InvalidArgument("subject host: spec carries no model");
-      }
-      AID_ASSIGN_OR_RETURN(subject.target, BuildSubjectTarget(spec));
-      subject.catalog_size = spec.model->catalog().size();
-      return subject;
-    }
-    case SubjectKind::kCase: {
-      AID_ASSIGN_OR_RETURN(CaseStudy study, MakeCaseStudyByKey(spec.case_key));
-      subject.study = std::make_unique<CaseStudy>(std::move(study));
-      AID_ASSIGN_OR_RETURN(
-          std::unique_ptr<VmTarget> target,
-          VmTarget::Create(&subject.study->program,
-                           subject.study->target_options));
-      subject.catalog_size = target->extractor().catalog().size();
-      subject.target = std::move(target);
-      return subject;
-    }
-    case SubjectKind::kVmProgram: {
-      if (spec.program == nullptr) {
-        return Status::InvalidArgument("subject host: spec carries no program");
-      }
-      // Pre-execution lint on every wire-received program, regardless of
-      // the spec's analysis options: undefined registers, unreachable
-      // predicate sites, out-of-range targets and the like become a
-      // structured ERROR frame here instead of a child crash mid-scan.
-      const ProgramAnalysis analysis =
-          ProgramAnalysis::Analyze(*spec.program);
-      AID_RETURN_IF_ERROR(analysis.LintStatus());
-      AID_ASSIGN_OR_RETURN(std::unique_ptr<VmTarget> target,
-                           VmTarget::Create(spec.program.get(), spec.vm));
-      subject.catalog_size = target->extractor().catalog().size();
-      subject.target = std::move(target);
-      return subject;
-    }
+/// Opens a subject received over the wire. Every received program is
+/// linted first, regardless of the spec's analysis options: undefined
+/// registers, unreachable predicate sites, out-of-range targets and the
+/// like become a structured ERROR frame instead of a child crash mid-scan.
+Result<OpenedSubject> OpenReceivedSubject(const SubjectSpec& spec) {
+  if (spec.kind == SubjectKind::kVmProgram) {
+    AID_RETURN_IF_ERROR(ProgramAnalysis::Analyze(*spec.program).LintStatus());
   }
-  return Status::InvalidArgument("subject host: unknown subject kind");
+  return OpenSubject(spec);
 }
 
 /// Poisoned-trial check: 1-based global trial index hits the period.
@@ -189,32 +145,6 @@ void SharedHostStats::RecordTrial(uint64_t micros, bool failed) {
   latency_buckets[bucket].fetch_add(1, std::memory_order_relaxed);
 }
 
-Result<std::unique_ptr<ReplicableTarget>> BuildSubjectTarget(
-    const OwnedSubjectSpec& spec) {
-  switch (spec.kind) {
-    case SubjectKind::kModel:
-      return std::unique_ptr<ReplicableTarget>(
-          std::make_unique<ModelTarget>(spec.model.get()));
-    case SubjectKind::kFlakyModel:
-      return std::unique_ptr<ReplicableTarget>(
-          std::make_unique<FlakyModelTarget>(
-              spec.model.get(), spec.manifest_probability, spec.flaky_seed));
-    case SubjectKind::kCase: {
-      // Callers who need the study kept alive use BuildHostSubject; this
-      // entry point only serves specs whose subject is self-contained.
-      return Status::InvalidArgument(
-          "BuildSubjectTarget: case subjects own their program; use "
-          "RunSubjectHost");
-    }
-    case SubjectKind::kVmProgram: {
-      AID_ASSIGN_OR_RETURN(std::unique_ptr<VmTarget> target,
-                           VmTarget::Create(spec.program.get(), spec.vm));
-      return std::unique_ptr<ReplicableTarget>(std::move(target));
-    }
-  }
-  return Status::InvalidArgument("BuildSubjectTarget: unknown subject kind");
-}
-
 int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
 #if !AID_PROC_SUPPORTED
   (void)channel;
@@ -227,9 +157,9 @@ int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
     return 2;
   }
 
-  // SPEC -> build -> READY (or ERROR and exit).
-  OwnedSubjectSpec spec;
-  HostSubject subject;
+  // SPEC -> open -> READY (or ERROR and exit).
+  OwnedSubjectSpec owned;
+  OpenedSubject subject;
   for (;;) {
     Result<ProcFrame> frame = channel.Read();
     if (!frame.ok()) return 2;
@@ -257,15 +187,15 @@ int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
       (void)channel.Write(ProcMsgType::kError, EncodeError(decoded.status()));
       return 2;
     }
-    spec = std::move(decoded).value();
-    Result<HostSubject> built = BuildHostSubject(spec);
-    if (!built.ok()) {
-      (void)channel.Write(ProcMsgType::kError, EncodeError(built.status()));
+    owned = std::move(decoded).value();
+    Result<OpenedSubject> opened = OpenReceivedSubject(owned.spec);
+    if (!opened.ok()) {
+      (void)channel.Write(ProcMsgType::kError, EncodeError(opened.status()));
       return 2;
     }
-    subject = std::move(built).value();
+    subject = std::move(opened).value();
     ReadyMsg ready;
-    ready.catalog_size = static_cast<uint32_t>(subject.catalog_size);
+    ready.catalog_size = static_cast<uint32_t>(subject.catalog().size());
     if (!channel.Write(ProcMsgType::kReady, EncodeReady(ready)).ok()) {
       return 2;
     }
@@ -299,10 +229,10 @@ int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
         // Fault injection happens mid-trial, after the request is accepted:
         // the engine has committed to this trial and observes a genuine
         // mid-trial death or hang.
-        if (HitsPeriod(request->trial_index, spec.crash_period)) {
+        if (HitsPeriod(request->trial_index, owned.spec.crash_period)) {
           std::abort();
         }
-        if (HitsPeriod(request->trial_index, spec.hang_period)) {
+        if (HitsPeriod(request->trial_index, owned.spec.hang_period)) {
           HangForever();
         }
         if (host.trial_delay_us > 0) {

@@ -4,9 +4,9 @@
 // proc::SubprocessTarget with the wire protocol on stdin/stdout. It embeds
 // any existing in-process intervention backend -- ground-truth models, flaky
 // models, VM case studies, arbitrary serialized VM programs -- behind the
-// protocol: it announces itself (HELLO), receives a SubjectSpec, builds the
-// corresponding ReplicableTarget (running the backend's observation phase
-// where one exists), acknowledges (READY), and then answers RUN_TRIAL
+// protocol: it announces itself (HELLO), receives a SubjectSpec, opens it
+// (OpenSubject, which runs the backend's observation phase where one
+// exists), acknowledges (READY), and then answers RUN_TRIAL
 // requests by seeking to the requested global trial index, executing one
 // trial, streaming the observed predicates as TRACE_EVENT frames, and
 // closing the trial with a VERDICT frame.
@@ -71,13 +71,6 @@ struct SubjectHostOptions {
   uint64_t daemon_start_micros = 0;
   uint64_t daemon_sessions_started = 0;
 };
-
-/// Builds the in-process intervention target an OwnedSubjectSpec describes,
-/// running the backend's observation phase (VM subjects scan seeds exactly
-/// like the parent did, reproducing the identical predicate catalog).
-/// The returned target borrows spec.model / spec.program.
-Result<std::unique_ptr<ReplicableTarget>> BuildSubjectTarget(
-    const OwnedSubjectSpec& spec);
 
 /// Runs the host protocol loop over `channel` until SHUTDOWN or EOF.
 /// Returns the process exit code. Fault injection (spec crash/hang periods)

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "runtime/program_io.h"
+#include "synth/flaky_target.h"
 
 namespace aid {
 namespace {
@@ -297,7 +298,8 @@ Result<OwnedSubjectSpec> DecodeSubjectSpec(std::string_view payload) {
         "subject spec decode: unsupported format version " +
         std::to_string(version));
   }
-  OwnedSubjectSpec spec;
+  OwnedSubjectSpec owned;
+  SubjectSpec& spec = owned.spec;
   spec.kind = static_cast<SubjectKind>(reader.U8());
   spec.crash_period = reader.U64();
   spec.hang_period = reader.U64();
@@ -307,7 +309,8 @@ Result<OwnedSubjectSpec> DecodeSubjectSpec(std::string_view payload) {
     case SubjectKind::kFlakyModel: {
       spec.manifest_probability = reader.F64();
       spec.flaky_seed = reader.U64();
-      AID_ASSIGN_OR_RETURN(spec.model, DeserializeModel(reader));
+      AID_ASSIGN_OR_RETURN(owned.model, DeserializeModel(reader));
+      spec.model = owned.model.get();
       break;
     }
     case SubjectKind::kCase: {
@@ -317,7 +320,8 @@ Result<OwnedSubjectSpec> DecodeSubjectSpec(std::string_view payload) {
     case SubjectKind::kVmProgram: {
       spec.vm = DeserializeVmTargetOptions(reader);
       AID_ASSIGN_OR_RETURN(Program program, DeserializeProgram(reader));
-      spec.program = std::make_unique<Program>(std::move(program));
+      owned.program = std::make_unique<Program>(std::move(program));
+      spec.program = owned.program.get();
       break;
     }
     default:
@@ -326,7 +330,61 @@ Result<OwnedSubjectSpec> DecodeSubjectSpec(std::string_view payload) {
           std::to_string(static_cast<int>(spec.kind)));
   }
   AID_RETURN_IF_ERROR(reader.Finish());
-  return spec;
+  return owned;
+}
+
+namespace {
+
+Result<OpenedSubject> OpenVm(const Program* program,
+                             const VmTargetOptions& options,
+                             OpenedSubject subject) {
+  AID_ASSIGN_OR_RETURN(std::unique_ptr<VmTarget> target,
+                       VmTarget::Create(program, options));
+  subject.vm = target.get();
+  subject.target = std::move(target);
+  return subject;
+}
+
+}  // namespace
+
+Result<OpenedSubject> OpenSubject(const SubjectSpec& spec,
+                                  const AnalysisOptions& analysis) {
+  OpenedSubject subject;
+  switch (spec.kind) {
+    case SubjectKind::kModel:
+    case SubjectKind::kFlakyModel:
+      if (spec.model == nullptr) {
+        return Status::InvalidArgument(
+            "model subject: SubjectSpec::model is required");
+      }
+      subject.model = spec.model;
+      if (spec.kind == SubjectKind::kModel ||
+          spec.manifest_probability >= 1.0) {
+        subject.target = std::make_unique<ModelTarget>(spec.model);
+      } else {
+        subject.target = std::make_unique<FlakyModelTarget>(
+            spec.model, spec.manifest_probability, spec.flaky_seed);
+      }
+      return subject;
+    case SubjectKind::kCase: {
+      AID_ASSIGN_OR_RETURN(CaseStudy study, MakeCaseStudyByKey(spec.case_key));
+      subject.study = std::make_unique<CaseStudy>(std::move(study));
+      VmTargetOptions options = subject.study->target_options;
+      if (analysis.enabled) options.analysis = analysis;
+      const Program* program = &subject.study->program;
+      return OpenVm(program, options, std::move(subject));
+    }
+    case SubjectKind::kVmProgram: {
+      if (spec.program == nullptr) {
+        return Status::InvalidArgument(
+            "vm subject: SubjectSpec::program is required");
+      }
+      VmTargetOptions options = spec.vm;
+      if (analysis.enabled) options.analysis = analysis;
+      return OpenVm(spec.program, options, std::move(subject));
+    }
+  }
+  return Status::InvalidArgument("subject: unknown subject kind");
 }
 
 }  // namespace aid

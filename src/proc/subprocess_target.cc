@@ -1,5 +1,6 @@
 #include "proc/subprocess_target.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -91,16 +92,7 @@ Result<std::unique_ptr<SubprocessTarget>> SubprocessTarget::Create(
         "SubprocessTarget: max_respawns must be >= 0, got " +
         std::to_string(options.max_respawns));
   }
-  SubjectSpec effective = spec;
-  // The injection knobs live on the options (the session-facing surface) but
-  // execute in the child, so they ride inside the frozen spec.
-  if (options.inject_crash_period != 0) {
-    effective.crash_period = options.inject_crash_period;
-  }
-  if (options.inject_hang_period != 0) {
-    effective.hang_period = options.inject_hang_period;
-  }
-  AID_ASSIGN_OR_RETURN(std::string bytes, EncodeSubjectSpec(effective));
+  AID_ASSIGN_OR_RETURN(std::string bytes, EncodeSubjectSpec(spec));
   return std::unique_ptr<SubprocessTarget>(new SubprocessTarget(
       std::make_shared<const std::string>(std::move(bytes)),
       std::move(options)));
@@ -223,12 +215,18 @@ void SubprocessTarget::StopChild(bool force_kill) {
     return;
   }
   // Grace period, then SIGKILL: a wedged host must not wedge our destructor.
-  constexpr int kGraceMs = 2000;
-  constexpr int kPollMs = 10;
-  for (int waited = 0; waited < kGraceMs; waited += kPollMs) {
+  // A host told to shut down exits within about a millisecond, so the poll
+  // starts short and backs off, instead of charging every teardown a fixed
+  // sleep.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
+  std::chrono::microseconds pause(50);
+  for (;;) {
     const pid_t rc = WaitpidRetry(pid, nullptr, WNOHANG);
     if (rc == pid || (rc < 0 && errno == ECHILD)) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(kPollMs));
+    if (std::chrono::steady_clock::now() >= deadline) break;
+    std::this_thread::sleep_for(pause);
+    pause = std::min(pause * 2, std::chrono::microseconds(10000));
   }
   ::kill(pid, SIGKILL);
   (void)WaitpidRetry(pid, nullptr, 0);

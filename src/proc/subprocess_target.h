@@ -72,11 +72,6 @@ struct SubprocessOptions {
   /// it fails the run with Aborted (crash-loop guard).
   int max_respawns = 1000;
 
-  /// Deterministic fault injection forwarded into the subject spec (see
-  /// proc/subject_spec.h). Testing / chaos knobs; 0 = off.
-  uint64_t inject_crash_period = 0;
-  uint64_t inject_hang_period = 0;
-
   /// When nonzero, every handshake cross-checks the child's catalog size
   /// against this value and fails with Internal on mismatch -- the guard
   /// that parent and child agree on the predicate id space. Session targets

@@ -14,8 +14,7 @@
 #include <unistd.h>
 #endif
 
-#include "api/target_factory.h"
-#include "casestudies/case_study.h"
+#include "api/session_target.h"
 #include "common/logging.h"
 #include "core/discovery_state.h"
 #include "exec/replicable.h"
@@ -107,21 +106,22 @@ class DiscoveryService::Impl {
 
  private:
   /// One live discovery: the client connection, the subject rebuilt from
-  /// its spec (spec/study own the model/program the target borrows), and
+  /// its spec (the spec owns the model/program the target borrows), and
   /// the resumable state machine being interleaved.
   struct Session {
     uint64_t id = 0;
     std::string label;
     std::unique_ptr<SocketChannel> channel;
     OwnedSubjectSpec spec;
-    std::unique_ptr<CaseStudy> study;  ///< kCase: owns program + options
     std::unique_ptr<SessionTarget> target;
     std::optional<AcDag> dag;
     std::unique_ptr<DiscoveryState> state;
     uint64_t checkpoint_after_rounds = 0;
-    /// session_quota with budgeting off: the scheduler stops the session
-    /// itself (budgeted sessions have the quota folded into their global
-    /// execution budget instead and degrade gracefully).
+    /// session_quota not already enforced by the session's own execution
+    /// budget: the scheduler stops the session itself. Fresh budgeted
+    /// sessions have the quota folded into their global budget instead and
+    /// degrade gracefully; a resumed checkpoint keeps the budget it was
+    /// written with, which may be unbounded or looser than this daemon's.
     bool quota_enforced_externally = false;
 
     /// Per-session labeled instruments (null without telemetry) and the
@@ -190,14 +190,19 @@ class DiscoveryService::Impl {
     AcceptedMsg accepted;
     accepted.session_id = (*session)->id;
     accepted.resumed = (*session)->folded_rounds > 0;
+    // Counted before ACCEPTED goes out, so a client holding ACCEPTED never
+    // reads a count that misses its own session.
+    sessions_accepted_.fetch_add(1);
     if (!(*session)
              ->channel
              ->Write(AsProcMsgType(ServiceMsgType::kAccepted),
                      EncodeAccepted(accepted), kFrameDeadlineMs)
              .ok()) {
+      sessions_accepted_.fetch_sub(1);
       return;  // client hung up before the answer; drop the session
     }
-    sessions_accepted_.fetch_add(1);
+    // The exported counter is monotonic and cannot take a count back, so
+    // it counts only sessions whose ACCEPTED was delivered.
     if (sessions_counter_ != nullptr) sessions_counter_->Add();
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -222,6 +227,11 @@ class DiscoveryService::Impl {
                          : std::move(msg.label);
     session->checkpoint_after_rounds = msg.checkpoint_after_rounds;
     AID_ASSIGN_OR_RETURN(session->spec, DecodeSubjectSpec(msg.spec));
+    // Fault injection is a test knob of a session's own substrate. The
+    // daemon's fleet is shared and its trials run without a deadline, so a
+    // client's hang or crash period would wedge a worker or respawn-loop it.
+    session->spec.spec.crash_period = 0;
+    session->spec.spec.hang_period = 0;
 
     const bool resuming = !msg.state.empty();
     EngineOptions engine;
@@ -243,7 +253,13 @@ class DiscoveryService::Impl {
       AID_RETURN_IF_ERROR(ValidateDiscoveryOptions(engine));
     }
 
-    AID_RETURN_IF_ERROR(BuildTarget(*session, engine.parallelism));
+    // The target is shared with the daemon's runner fleet; the spec stays
+    // alive inside the session, and the target borrows it.
+    TargetConfig config;
+    config.parallelism = std::max(engine.parallelism, 1);
+    config.fleet = options_.fleet;
+    AID_ASSIGN_OR_RETURN(session->target,
+                         MakeSessionTarget(session->spec.spec, config));
     AID_ASSIGN_OR_RETURN(AcDag dag, session->target->BuildAcDag());
     session->dag.emplace(std::move(dag));
 
@@ -269,9 +285,11 @@ class DiscoveryService::Impl {
       session->state = std::make_unique<DiscoveryState>(
           &*session->dag, engine, Rng(engine.seed));
     }
+    const BudgetOptions& budget = session->state->options().budget;
     session->quota_enforced_externally =
         options_.session_quota > 0 &&
-        !session->state->options().budget.enabled;
+        (!budget.enabled || budget.max_executions == 0 ||
+         budget.max_executions > options_.session_quota);
     session->folded_rounds = session->state->next_round_index() - 1;
     session->folded_executions = session->state->executions();
 
@@ -288,48 +306,6 @@ class DiscoveryService::Impl {
       // only the rounds executed HERE are folded in (folded_* above).
     }
     return session;
-  }
-
-  /// Rebuilds the intervention substrate a SubjectSpec describes, shared
-  /// with the daemon's runner fleet. The spec/study stay alive inside the
-  /// session; the target borrows them.
-  Status BuildTarget(Session& session, int parallelism) {
-    if (parallelism <= 0) parallelism = 1;
-    switch (session.spec.kind) {
-      case SubjectKind::kModel:
-      case SubjectKind::kFlakyModel: {
-        const bool flaky = session.spec.kind == SubjectKind::kFlakyModel;
-        AID_ASSIGN_OR_RETURN(
-            session.target,
-            MakeModelSessionTarget(
-                session.spec.model.get(),
-                flaky ? session.spec.manifest_probability : 1.0,
-                session.spec.flaky_seed, flaky ? "flaky" : "model",
-                parallelism, Isolation::kInProcess, {}, options_.fleet));
-        return Status::OK();
-      }
-      case SubjectKind::kCase: {
-        AID_ASSIGN_OR_RETURN(CaseStudy study,
-                             MakeCaseStudyByKey(session.spec.case_key));
-        session.study = std::make_unique<CaseStudy>(std::move(study));
-        AID_ASSIGN_OR_RETURN(
-            session.target,
-            MakeVmSessionTarget(&session.study->program,
-                                session.study->target_options, "case",
-                                parallelism, Isolation::kInProcess, {},
-                                options_.fleet));
-        return Status::OK();
-      }
-      case SubjectKind::kVmProgram: {
-        AID_ASSIGN_OR_RETURN(
-            session.target,
-            MakeVmSessionTarget(session.spec.program.get(), session.spec.vm,
-                                "vm", parallelism, Isolation::kInProcess, {},
-                                options_.fleet));
-        return Status::OK();
-      }
-    }
-    return Status::InvalidArgument("service: unknown subject kind");
   }
 
   void WorkerLoop() {
@@ -381,13 +357,19 @@ class DiscoveryService::Impl {
 
     if (session.quota_enforced_externally && !session.state->done() &&
         session.state->executions() >= options_.session_quota) {
-      return Fail(session,
-                  Status::FailedPrecondition(
-                      "session '" + session.label +
-                      "' exceeded its execution quota (" +
-                      std::to_string(options_.session_quota) +
-                      "); resubmit with adaptive budgeting to degrade "
-                      "gracefully instead"));
+      // Only a resumed checkpoint can be budgeted here: its budget was
+      // fixed where it started, and lies beyond this daemon's quota.
+      const std::string hint =
+          session.state->options().budget.enabled
+              ? "; the checkpoint's adaptive budget exceeds this daemon's "
+                "quota"
+              : "; resubmit with adaptive budgeting to degrade gracefully "
+                "instead";
+      return Fail(session, Status::FailedPrecondition(
+                               "session '" + session.label +
+                               "' exceeded its execution quota (" +
+                               std::to_string(options_.session_quota) + ")" +
+                               hint));
     }
 
     Result<DiscoveryAction> action = session.state->NextAction();

@@ -20,7 +20,9 @@
 // session may spend: budgeted sessions have their BudgetOptions::
 // max_executions clamped to the quota (they degrade gracefully into
 // best-effort reports with per-candidate confidence); unbudgeted sessions
-// are hard-stopped with an ERROR when they cross it.
+// are hard-stopped with an ERROR when they cross it. A resumed checkpoint
+// keeps the budget it was written with, so unless that budget already lies
+// within the quota it is hard-stopped the same way.
 //
 // Checkpoint/resume: a SUBMIT with checkpoint_after_rounds > 0 detaches
 // the session at that round boundary and ships the serialized
@@ -66,8 +68,9 @@ struct ServiceOptions {
   int workers = 2;
   /// Admission cap on concurrent live sessions; 0 = unlimited.
   int max_sessions = 8;
-  /// Per-session execution quota; 0 = none. Budgeted sessions get their
-  /// global budget clamped to it; unbudgeted sessions that cross it are
+  /// Per-session execution quota; 0 = none. Fresh budgeted sessions get
+  /// their global budget clamped to it; every other session that crosses
+  /// it (unbudgeted, or resumed with a budget looser than the quota) is
   /// stopped with an ERROR.
   uint64_t session_quota = 0;
   /// Runner endpoints ("host:port") every session's intervention replicas

@@ -165,14 +165,17 @@ TEST(SyntheticParityTest, PrebuiltTargetRejectsSessionLevelAnalysis) {
   auto model = MakeSymmetricModel(/*junctions=*/2, /*branches=*/2,
                                   /*chain_len=*/2, /*causal=*/3, /*seed=*/9);
   ASSERT_TRUE(model.ok()) << model.status();
-  auto prebuilt = MakeModelSessionTarget(model->get());
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model->get();
+  auto prebuilt = MakeSessionTarget(spec);
   ASSERT_TRUE(prebuilt.ok()) << prebuilt.status();
   auto session = SessionBuilder()
                      .WithTarget(std::move(*prebuilt))
                      .WithStaticAnalysis()
                      .Build();
   ASSERT_FALSE(session.ok());
-  EXPECT_NE(session.status().message().find("factory backend"),
+  EXPECT_NE(session.status().message().find("requires a subject target"),
             std::string::npos);
 }
 

@@ -28,6 +28,13 @@ std::unique_ptr<GroundTruthModel> MakeModel(int max_threads = 12,
   return std::move(*model);
 }
 
+SubjectSpec ModelSpec(const GroundTruthModel* model) {
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model;
+  return spec;
+}
+
 void ExpectSameDiscovery(const DiscoveryReport& a, const DiscoveryReport& b) {
   EXPECT_EQ(a.causal_path, b.causal_path);
   EXPECT_EQ(a.spurious, b.spurious);
@@ -190,7 +197,7 @@ TEST(SessionParallelTest, EngineOptionsParallelismBuildsTheSamePool) {
   ExpectSameDiscovery(report->discovery, expected->discovery);
 
   // ... including the prebuilt-target rejection.
-  auto target = MakeModelSessionTarget(model.get());
+  auto target = MakeSessionTarget(ModelSpec(model.get()));
   ASSERT_TRUE(target.ok()) << target.status();
   SessionBuilder prebuilt;
   prebuilt.WithTarget(std::move(*target)).WithEngineOptions(options);
@@ -224,15 +231,15 @@ TEST(SessionParallelTest, RejectsAbsurdParallelism) {
   EXPECT_TRUE(ValidateParallelism(kMaxParallelism).ok());
 }
 
-TEST(SessionParallelTest, FactoryValidatesConfigParallelismDirectly) {
-  // TargetConfig::parallelism bypasses the builder; the factory must reject
-  // bogus values too instead of silently degrading to serial dispatch.
+TEST(SessionParallelTest, MakeSessionTargetValidatesConfigParallelism) {
+  // TargetConfig::parallelism bypasses the builder; MakeSessionTarget must
+  // reject bogus values too instead of silently degrading to serial
+  // dispatch.
   std::unique_ptr<GroundTruthModel> model = MakeModel();
   for (int bogus : {0, -3, kMaxParallelism + 1}) {
     TargetConfig config;
-    config.model = model.get();
     config.parallelism = bogus;
-    auto target = TargetFactory::Create("model", config);
+    auto target = MakeSessionTarget(ModelSpec(model.get()), config);
     ASSERT_FALSE(target.ok()) << "config parallelism " << bogus << " accepted";
     EXPECT_EQ(target.status().code(), StatusCode::kInvalidArgument);
   }
@@ -240,7 +247,7 @@ TEST(SessionParallelTest, FactoryValidatesConfigParallelismDirectly) {
 
 TEST(SessionParallelTest, RejectsParallelismOnPrebuiltTargets) {
   std::unique_ptr<GroundTruthModel> model = MakeModel();
-  auto target = MakeModelSessionTarget(model.get());
+  auto target = MakeSessionTarget(ModelSpec(model.get()));
   ASSERT_TRUE(target.ok()) << target.status();
   SessionBuilder builder;
   builder.WithTarget(std::move(*target)).WithParallelism(4);

@@ -2,7 +2,7 @@
 // WithProcessIsolation wiring for the built-in backends, bit-identical
 // reports vs. in-process dispatch at every worker count, crash/hang
 // subjects completing discovery with their counters surfaced in
-// DiscoveryReport, and the builder/factory validation contract.
+// DiscoveryReport, and the builder/MakeSessionTarget validation contract.
 //
 // Subprocess cases skip gracefully on platforms without fork/exec.
 
@@ -35,6 +35,13 @@ std::unique_ptr<GroundTruthModel> MakeModel(uint64_t seed = 7,
   auto model = GenerateSyntheticApp(options);
   EXPECT_TRUE(model.ok()) << model.status();
   return std::move(*model);
+}
+
+SubjectSpec ModelSpec(const GroundTruthModel* model) {
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model;
+  return spec;
 }
 
 void ExpectSameDiscovery(const DiscoveryReport& a, const DiscoveryReport& b) {
@@ -119,16 +126,18 @@ TEST(SessionProcTest, FlakySubjectBitIdenticalAcrossWorkerCounts) {
 TEST(SessionProcTest, CrashySubjectCompletesDiscoveryWithCountsSurfaced) {
   SKIP_WITHOUT_FORK();
   auto model = MakeModel(33);
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kFlakyModel;
+  spec.model = model.get();
+  spec.manifest_probability = 0.8;
+  spec.flaky_seed = 9;
+  spec.crash_period = 7;
   TargetConfig config;
-  config.model = model.get();
-  config.manifest_probability = 0.8;
-  config.flaky_seed = 9;
   config.isolation = Isolation::kSubprocess;
-  config.subprocess.inject_crash_period = 7;
   config.subprocess.trial_deadline_ms = 10000;
 
   SessionBuilder builder;
-  builder.WithTarget("flaky-model", config).WithTrials(3);
+  builder.WithTarget(spec, config).WithTrials(3);
   auto session = builder.Build();
   ASSERT_TRUE(session.ok()) << session.status();
   auto report = session->Run();
@@ -151,13 +160,13 @@ TEST(SessionProcTest, CrashySubjectReportIdenticalAcrossWorkerCounts) {
   SKIP_WITHOUT_FORK();
   auto model = MakeModel(33);
   auto run = [&](int parallelism) {
+    SubjectSpec spec = ModelSpec(model.get());
+    spec.crash_period = 11;
     TargetConfig config;
-    config.model = model.get();
     config.isolation = Isolation::kSubprocess;
-    config.subprocess.inject_crash_period = 11;
     config.parallelism = parallelism;
     SessionBuilder builder;
-    builder.WithTarget("model", config).WithTrials(2);
+    builder.WithTarget(spec, config).WithTrials(2);
     if (parallelism > 1) builder.WithParallelism(parallelism);
     auto session = builder.Build();
     EXPECT_TRUE(session.ok()) << session.status();
@@ -177,14 +186,14 @@ TEST(SessionProcTest, CrashySubjectReportIdenticalAcrossWorkerCounts) {
 TEST(SessionProcTest, HangingSubjectCompletesDiscoveryViaDeadline) {
   SKIP_WITHOUT_FORK();
   auto model = MakeModel(17, /*max_threads=*/8);
+  SubjectSpec spec = ModelSpec(model.get());
+  spec.hang_period = 6;
   TargetConfig config;
-  config.model = model.get();
   config.isolation = Isolation::kSubprocess;
-  config.subprocess.inject_hang_period = 6;
   config.subprocess.trial_deadline_ms = 300;
 
   SessionBuilder builder;
-  builder.WithTarget("model", config).WithTrials(2);
+  builder.WithTarget(spec, config).WithTrials(2);
   auto session = builder.Build();
   ASSERT_TRUE(session.ok()) << session.status();
   auto report = session->Run();
@@ -197,7 +206,7 @@ TEST(SessionProcTest, HangingSubjectCompletesDiscoveryViaDeadline) {
   EXPECT_NE(rendered.find("timed-out trials"), std::string::npos);
 }
 
-// --- builder / factory validation -----------------------------------------
+// --- builder / target validation ------------------------------------------
 
 TEST(SessionProcTest, NegativeDeadlineIsRejected) {
   auto model = MakeModel();
@@ -211,14 +220,14 @@ TEST(SessionProcTest, NegativeDeadlineIsRejected) {
 
 TEST(SessionProcTest, PrebuiltTargetsCannotBeIsolated) {
   auto model = MakeModel();
-  auto target = MakeModelSessionTarget(model.get());
+  auto target = MakeSessionTarget(ModelSpec(model.get()));
   ASSERT_TRUE(target.ok());
   SessionBuilder builder;
   builder.WithTarget(std::move(*target)).WithProcessIsolation();
   auto session = builder.Build();
   ASSERT_FALSE(session.ok());
   EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(session.status().message().find("factory backend"),
+  EXPECT_NE(session.status().message().find("requires a subject target"),
             std::string::npos);
 }
 

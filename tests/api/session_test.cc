@@ -1,6 +1,6 @@
 // Tests of the public aid::Session API: parity with direct engine use for
-// all four presets, the target factory registry, the builder contract, the
-// observer callbacks, and batched dispatch.
+// all four presets, session targets built from a SubjectSpec, the builder
+// contract, the observer callbacks, and batched dispatch.
 
 #include "api/session.h"
 
@@ -140,60 +140,50 @@ TEST(SessionTest, MatchesLegacyRunPipelineOnCaseStudy) {
       << report->root_cause;
 }
 
-// --- target factory -------------------------------------------------------
+// --- session targets ------------------------------------------------------
 
-TEST(TargetFactoryTest, BuiltinBackendsAreRegistered) {
-  for (const char* name :
-       {"vm", "model", "flaky-model", "case", "case:npgsql", "case:kafka",
-        "case:cosmosdb", "case:network", "case:buildandtest",
-        "case:healthtelemetry"}) {
-    EXPECT_TRUE(TargetFactory::IsRegistered(name)) << name;
-  }
-  const std::vector<std::string> names = TargetFactory::RegisteredNames();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-}
+TEST(SessionTargetTest, TargetsAreNamedAfterTheirSubject) {
+  std::unique_ptr<GroundTruthModel> model = MakeModel(8, 3);
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model.get();
+  auto target = MakeSessionTarget(spec);
+  ASSERT_TRUE(target.ok()) << target.status();
+  EXPECT_EQ((*target)->name(), "model");
 
-TEST(TargetFactoryTest, UnknownBackendIsNotFound) {
-  auto target = TargetFactory::Create("no-such-backend", {});
-  ASSERT_FALSE(target.ok());
-  EXPECT_EQ(target.status().code(), StatusCode::kNotFound);
-}
+  spec.kind = SubjectKind::kFlakyModel;
+  spec.manifest_probability = 0.5;
+  target = MakeSessionTarget(spec);
+  ASSERT_TRUE(target.ok()) << target.status();
+  EXPECT_EQ((*target)->name(), "flaky-model");
 
-TEST(TargetFactoryTest, UnknownCaseStudyIsNotFound) {
-  TargetConfig config;
-  config.case_study = "no-such-case";
-  auto target = TargetFactory::Create("case", config);
-  ASSERT_FALSE(target.ok());
-  EXPECT_EQ(target.status().code(), StatusCode::kNotFound);
-}
-
-TEST(TargetFactoryTest, MissingInputsAreInvalidArgument) {
-  EXPECT_EQ(TargetFactory::Create("vm", {}).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(TargetFactory::Create("model", {}).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(TargetFactoryTest, CustomBackendPlugsIntoSession) {
-  // The registry is process-global and creators are never unregistered, so
-  // the captured model must outlive any later lookup of "test-custom".
-  static const std::unique_ptr<GroundTruthModel> model = MakeModel(8, 3);
-  const GroundTruthModel* raw = model.get();
-  TargetFactory::Register(
-      "test-custom", [raw](const TargetConfig&) {
-        return MakeModelSessionTarget(raw, 1.0, 1, "test-custom");
-      });
-  ASSERT_TRUE(TargetFactory::IsRegistered("test-custom"));
-
-  auto session = SessionBuilder().WithTarget("test-custom", {}).Build();
+  auto session = SessionBuilder().WithCaseStudy("npgsql").Build();
   ASSERT_TRUE(session.ok()) << session.status();
-  EXPECT_EQ(session->target().name(), "test-custom");
-  auto report = session->Run();
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_TRUE(report->has_root_cause());
+  EXPECT_EQ(session->target().name(), "case:npgsql");
+  EXPECT_FALSE(session->target().description().empty());
 }
 
-TEST(TargetFactoryTest, AdapterTargetDrivesSessionOverBorrowedPieces) {
+TEST(SessionTargetTest, UnknownCaseStudyIsNotFound) {
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kCase;
+  spec.case_key = "no-such-case";
+  auto target = MakeSessionTarget(spec);
+  ASSERT_FALSE(target.ok());
+  EXPECT_EQ(target.status().code(), StatusCode::kNotFound);
+}
+
+TEST(SessionTargetTest, MissingInputsAreInvalidArgument) {
+  SubjectSpec vm;
+  vm.kind = SubjectKind::kVmProgram;
+  EXPECT_EQ(MakeSessionTarget(vm).status().code(),
+            StatusCode::kInvalidArgument);
+  SubjectSpec model;
+  model.kind = SubjectKind::kModel;
+  EXPECT_EQ(MakeSessionTarget(model).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(SessionTargetTest, AdapterTargetDrivesSessionOverBorrowedPieces) {
   std::unique_ptr<GroundTruthModel> model = MakeModel(10, 5);
   auto dag = model->BuildAcDag();
   ASSERT_TRUE(dag.ok()) << dag.status();

@@ -16,7 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include "api/target_factory.h"
+#include "api/session_target.h"
 #include "casestudies/case_study.h"
 #include "core/engine.h"
 #include "synth/flaky_target.h"
@@ -382,10 +382,11 @@ class CaseStudyCheckpointTest : public ::testing::TestWithParam<int> {};
 TEST_P(CaseStudyCheckpointTest, MidBranchAndMidGiwpResumeIdentically) {
   const std::string& key =
       CaseStudyKeys()[static_cast<size_t>(GetParam())];
-  auto study = MakeCaseStudyByKey(key);
-  ASSERT_TRUE(study.ok()) << study.status();
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kCase;
+  spec.case_key = key;
 
-  auto host_a = MakeVmSessionTarget(&study->program, study->target_options);
+  auto host_a = MakeSessionTarget(spec);
   ASSERT_TRUE(host_a.ok()) << host_a.status();
   auto dag = (*host_a)->BuildAcDag();
   ASSERT_TRUE(dag.ok()) << dag.status();
@@ -406,7 +407,7 @@ TEST_P(CaseStudyCheckpointTest, MidBranchAndMidGiwpResumeIdentically) {
     int mid_branch = -1;
     int mid_giwp = -1;
     for (uint64_t k = 1; k < baseline->rounds; ++k) {
-      auto fresh = MakeVmSessionTarget(&study->program, study->target_options);
+      auto fresh = MakeSessionTarget(spec);
       ASSERT_TRUE(fresh.ok());
       std::string next_phase;
       auto probe = CheckpointAfter(&*dag, options,

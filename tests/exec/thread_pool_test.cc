@@ -102,12 +102,20 @@ TEST(ThreadPoolTest, DiscardShutdownBreaksPendingPromises) {
   ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
-  std::future<int> blocked =
-      pool.Submit([released]() { released.wait(); return 1; });
+  std::promise<void> started;
+  std::future<void> running = started.get_future();
+  std::future<int> blocked = pool.Submit([released, &started]() {
+    started.set_value();
+    released.wait();
+    return 1;
+  });
   std::vector<std::future<int>> pending;
   for (int i = 0; i < 8; ++i) {
     pending.push_back(pool.Submit([]() { return 2; }));
   }
+  // The worker must hold the wedged task before the discard starts;
+  // otherwise the discard may drop it with the queued ones.
+  running.wait();
 
   std::thread shutdown(
       [&pool]() { pool.Shutdown(ThreadPool::DrainPolicy::kDiscard); });

@@ -165,10 +165,9 @@ TEST(RemoteTargetTest, InjectedCrashesAreCountedDeterministically) {
   auto runner = Runner::Start();
   ASSERT_TRUE(runner.ok()) << runner.status();
 
-  RemoteOptions options;
-  options.inject_crash_period = 3;  // 1-based trials 3 and 6 die
-  auto remote = RemoteTarget::Create({(*runner)->endpoint()},
-                                     ModelSpec(model.get()), options);
+  SubjectSpec spec = ModelSpec(model.get());
+  spec.crash_period = 3;  // 1-based trials 3 and 6 die
+  auto remote = RemoteTarget::Create({(*runner)->endpoint()}, spec);
   ASSERT_TRUE(remote.ok()) << remote.status();
 
   auto result = (*remote)->RunIntervened({}, 6);
@@ -190,11 +189,12 @@ TEST(RemoteTargetTest, HungSubjectIsReapedOnTheRunnerAfterTimeout) {
   auto runner = Runner::Start();
   ASSERT_TRUE(runner.ok()) << runner.status();
 
+  SubjectSpec spec = ModelSpec(model.get());
+  spec.hang_period = 2;  // 1-based trial 2 hangs forever
   RemoteOptions options;
   options.trial_deadline_ms = 300;
-  options.inject_hang_period = 2;  // 1-based trial 2 hangs forever
-  auto remote = RemoteTarget::Create({(*runner)->endpoint()},
-                                     ModelSpec(model.get()), options);
+  auto remote =
+      RemoteTarget::Create({(*runner)->endpoint()}, spec, options);
   ASSERT_TRUE(remote.ok()) << remote.status();
 
   auto result = (*remote)->RunIntervened({}, 3);

@@ -226,7 +226,7 @@ TEST_F(SchedulerFleetTest, FleetCursorCommitsOnlyOnSuccess) {
   options.trial_deadline_ms = 20000;
   // Crash on the 3rd trial with no reconnect budget: the call fails
   // mid-stream after consuming a partial prefix.
-  options.inject_crash_period = 3;
+  spec.crash_period = 3;
   options.max_reconnects = 0;
   auto fleet = FleetTarget::Create(endpoints, spec, options);
   ASSERT_TRUE(fleet.ok()) << fleet.status();

@@ -2,7 +2,8 @@
 // in-process and loopback-fleet runs at several worker counts, flaky and
 // VM-program subjects across the wire, builder validation, and a runner
 // killed mid-session degrading into crashed-trial accounting + failover
-// instead of an engine failure.
+// instead of an engine failure; aid_service over the fleet ignoring a
+// submitted spec's fault injection.
 
 #include <memory>
 #include <string>
@@ -11,7 +12,10 @@
 #include <gtest/gtest.h>
 
 #include "api/session.h"
+#include "core/engine.h"
 #include "net/runner.h"
+#include "service/client.h"
+#include "service/service.h"
 #include "runtime/program.h"
 #include "synth/generator.h"
 #include "synth/model.h"
@@ -251,7 +255,10 @@ TEST_F(SessionFleetTest, BuilderRejectsFleetMisconfigurations) {
   EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
 
   // Prebuilt targets cannot be shipped to runners.
-  auto prebuilt_target = MakeModelSessionTarget(model_.get());
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model_.get();
+  auto prebuilt_target = MakeSessionTarget(spec);
   ASSERT_TRUE(prebuilt_target.ok());
   auto prebuilt = SessionBuilder()
                       .WithTarget(std::move(*prebuilt_target))
@@ -259,20 +266,22 @@ TEST_F(SessionFleetTest, BuilderRejectsFleetMisconfigurations) {
                       .Build();
   ASSERT_FALSE(prebuilt.ok());
   EXPECT_EQ(prebuilt.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(prebuilt.status().message().find("factory backend"),
+  EXPECT_NE(prebuilt.status().message().find("requires a subject target"),
             std::string::npos);
 }
 
 TEST_F(SessionFleetTest, InjectedFleetChaosSurfacesInTheSessionReport) {
-  // Deterministic crash injection through the factory config: the session
+  // Deterministic crash injection through the subject spec: the session
   // completes and the report carries the accounting.
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model_.get();
+  spec.crash_period = 7;
   TargetConfig config;
-  config.model = model_.get();
   config.fleet = Fleet();
   config.remote.trial_deadline_ms = 20000;
-  config.remote.inject_crash_period = 7;
   auto session = SessionBuilder()
-                     .WithTarget("model", std::move(config))
+                     .WithTarget(spec, std::move(config))
                      .WithTrials(3)
                      .Build();
   ASSERT_TRUE(session.ok()) << session.status();
@@ -280,6 +289,46 @@ TEST_F(SessionFleetTest, InjectedFleetChaosSurfacesInTheSessionReport) {
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_GE(report->discovery.crashed_trials, 1);
   EXPECT_EQ(report->discovery.respawns, report->discovery.crashed_trials);
+}
+
+TEST_F(SessionFleetTest, ServiceDropsSubmittedFaultInjection) {
+  // aid_service runs its fleet without a trial deadline, so a submitted
+  // hang period would wedge the daemon's only worker for good. The daemon
+  // clears the periods: the session finishes exactly like a clean run.
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model_.get();
+  EngineOptions engine = EngineOptions::Aid();
+  engine.trials_per_intervention = 3;
+  auto solo_target = MakeSessionTarget(spec);
+  ASSERT_TRUE(solo_target.ok()) << solo_target.status();
+  auto dag = (*solo_target)->BuildAcDag();
+  ASSERT_TRUE(dag.ok()) << dag.status();
+  auto solo = CausalPathDiscovery(&*dag, (*solo_target)->intervention_target(),
+                                  engine)
+                  .Run();
+  ASSERT_TRUE(solo.ok()) << solo.status();
+
+  ServiceOptions options;
+  options.workers = 1;
+  options.fleet = Fleet();
+  auto service = DiscoveryService::Start(options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  auto client = ServiceClient::Connect((*service)->endpoint());
+  ASSERT_TRUE(client.ok()) << client.status();
+  ServiceSubmission submission;
+  submission.label = "faulty";
+  submission.spec = spec;
+  submission.spec.hang_period = 1;
+  submission.spec.crash_period = 1;
+  submission.engine = engine;
+  ASSERT_TRUE((*client)->Submit(submission).ok());
+  auto outcome = (*client)->Await(/*timeout_ms=*/60000);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_FALSE(outcome->checkpointed);
+  ExpectSameDiscovery(*solo, outcome->report);
+  EXPECT_EQ(outcome->report.crashed_trials, 0);
+  EXPECT_EQ(outcome->report.timed_out_trials, 0);
 }
 
 #else  // !AID_NET_SUPPORTED

@@ -87,10 +87,10 @@ TEST(SubjectSpecTest, VmProgramRoundTripKeepsAnalysisOptions) {
 
   auto decoded = DecodeSubjectSpec(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->vm.analysis.enabled);
-  EXPECT_FALSE(decoded->vm.analysis.prune_edges);
-  EXPECT_TRUE(decoded->vm.analysis.lint_programs);
-  EXPECT_FALSE(decoded->vm.analysis.exclude_infeasible);
+  EXPECT_TRUE(decoded->spec.vm.analysis.enabled);
+  EXPECT_FALSE(decoded->spec.vm.analysis.prune_edges);
+  EXPECT_TRUE(decoded->spec.vm.analysis.lint_programs);
+  EXPECT_FALSE(decoded->spec.vm.analysis.exclude_infeasible);
   ASSERT_NE(decoded->program, nullptr);
   EXPECT_EQ(decoded->program->methods().size(), program.methods().size());
 }

@@ -109,9 +109,9 @@ TEST(SubprocessTargetTest, FlakyModelMatchesPositionally) {
 TEST(SubprocessTargetTest, CrashIsRecordedAsFailingTrialAndRespawns) {
   SKIP_WITHOUT_FORK();
   auto model = MakeModel();
-  SubprocessOptions options;
-  options.inject_crash_period = 3;  // trials 2, 5, 8, ... (0-based) crash
-  auto target = SubprocessTarget::Create(ModelSpec(model.get()), options);
+  SubjectSpec spec = ModelSpec(model.get());
+  spec.crash_period = 3;  // trials 2, 5, 8, ... (0-based) crash
+  auto target = SubprocessTarget::Create(spec);
   ASSERT_TRUE(target.ok()) << target.status();
 
   auto result = (*target)->RunIntervened({}, 9);
@@ -140,10 +140,11 @@ TEST(SubprocessTargetTest, CrashIsRecordedAsFailingTrialAndRespawns) {
 TEST(SubprocessTargetTest, HangIsKilledAtDeadlineAndRespawns) {
   SKIP_WITHOUT_FORK();
   auto model = MakeModel();
+  SubjectSpec spec = ModelSpec(model.get());
+  spec.hang_period = 4;  // trial 3 (0-based) hangs
   SubprocessOptions options;
-  options.inject_hang_period = 4;  // trial 3 (0-based) hangs
   options.trial_deadline_ms = 300;
-  auto target = SubprocessTarget::Create(ModelSpec(model.get()), options);
+  auto target = SubprocessTarget::Create(spec, options);
   ASSERT_TRUE(target.ok()) << target.status();
 
   auto result = (*target)->RunIntervened({}, 5);
@@ -162,10 +163,11 @@ TEST(SubprocessTargetTest, HangIsKilledAtDeadlineAndRespawns) {
 TEST(SubprocessTargetTest, CrashLoopAbortsAtMaxRespawns) {
   SKIP_WITHOUT_FORK();
   auto model = MakeModel();
+  SubjectSpec spec = ModelSpec(model.get());
+  spec.crash_period = 1;  // every trial crashes
   SubprocessOptions options;
-  options.inject_crash_period = 1;  // every trial crashes
   options.max_respawns = 3;
-  auto target = SubprocessTarget::Create(ModelSpec(model.get()), options);
+  auto target = SubprocessTarget::Create(spec, options);
   ASSERT_TRUE(target.ok()) << target.status();
 
   auto result = (*target)->RunIntervened({}, 50);

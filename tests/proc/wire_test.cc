@@ -209,10 +209,10 @@ TEST(SubjectSpecTest, ModelSpecRoundTripsIdentically) {
   auto decoded = DecodeSubjectSpec(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
 
-  EXPECT_EQ(decoded->kind, SubjectKind::kFlakyModel);
-  EXPECT_EQ(decoded->manifest_probability, 0.625);
-  EXPECT_EQ(decoded->flaky_seed, 99u);
-  EXPECT_EQ(decoded->crash_period, 17u);
+  EXPECT_EQ(decoded->spec.kind, SubjectKind::kFlakyModel);
+  EXPECT_EQ(decoded->spec.manifest_probability, 0.625);
+  EXPECT_EQ(decoded->spec.flaky_seed, 99u);
+  EXPECT_EQ(decoded->spec.crash_period, 17u);
   ASSERT_NE(decoded->model, nullptr);
 
   const GroundTruthModel& original = **model;
@@ -248,9 +248,9 @@ TEST(SubjectSpecTest, CaseSpecRoundTrips) {
   ASSERT_TRUE(encoded.ok());
   auto decoded = DecodeSubjectSpec(*encoded);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->kind, SubjectKind::kCase);
-  EXPECT_EQ(decoded->case_key, "kafka");
-  EXPECT_EQ(decoded->hang_period, 5u);
+  EXPECT_EQ(decoded->spec.kind, SubjectKind::kCase);
+  EXPECT_EQ(decoded->spec.case_key, "kafka");
+  EXPECT_EQ(decoded->spec.hang_period, 5u);
 }
 
 TEST(SubjectSpecTest, SelfInconsistentSpecsAreRejected) {

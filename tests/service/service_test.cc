@@ -26,7 +26,7 @@
 
 #include <gtest/gtest.h>
 
-#include "api/target_factory.h"
+#include "api/session_target.h"
 #include "core/engine.h"
 #include "service/client.h"
 #include "service/protocol.h"
@@ -99,9 +99,9 @@ void ExpectDrained(DiscoveryService* service) {
 DiscoveryReport SoloRun(const GroundTruthModel* model,
                         const EngineOptions& options,
                         double manifest = 1.0, uint64_t seed = 1) {
-  auto target = manifest < 1.0
-                    ? MakeModelSessionTarget(model, manifest, seed, "flaky")
-                    : MakeModelSessionTarget(model);
+  auto target = MakeSessionTarget(manifest < 1.0
+                                      ? FlakySpec(model, manifest, seed)
+                                      : ModelSpec(model));
   EXPECT_TRUE(target.ok()) << target.status();
   auto dag = (*target)->BuildAcDag();
   EXPECT_TRUE(dag.ok()) << dag.status();
@@ -419,6 +419,59 @@ TEST(ServiceTest, CheckpointDetachesAndResumeFinishesIdentically) {
   ASSERT_FALSE(outcome->checkpointed);
   EXPECT_TRUE(SameDiscoveryOutcome(outcome->report, solo));
   EXPECT_EQ(outcome->report.history.size(), solo.history.size());
+}
+
+TEST(ServiceTest, QuotaHoldsOnResumedSessions) {
+  // A budgeted checkpoint written on a daemon without a quota carries an
+  // unbounded budget (max_executions == 0). Resuming it on a daemon with a
+  // quota must not run past that quota.
+  auto model = ChainModel(41);
+  EngineOptions engine = EngineOptions::Linear();
+  engine.trials_per_intervention = 3;
+  engine.budget.enabled = true;
+  constexpr uint64_t kQuota = 10;
+  const DiscoveryReport solo = SoloRun(model.get(), engine);
+  ASSERT_GT(solo.executions, kQuota + engine.trials_per_intervention);
+
+  auto unlimited = DiscoveryService::Start(ServiceOptions{});
+  ASSERT_TRUE(unlimited.ok()) << unlimited.status();
+  auto client = ServiceClient::Connect((*unlimited)->endpoint());
+  ASSERT_TRUE(client.ok()) << client.status();
+  ServiceSubmission submission;
+  submission.label = "budgeted";
+  submission.spec = ModelSpec(model.get());
+  submission.engine = engine;
+  submission.checkpoint_after_rounds = 2;
+  ASSERT_TRUE((*client)->Submit(submission).ok());
+  auto checkpointed = (*client)->Await(/*timeout_ms=*/60000);
+  ASSERT_TRUE(checkpointed.ok()) << checkpointed.status();
+  ASSERT_TRUE(checkpointed->checkpointed);
+  ASSERT_LT(checkpointed->checkpoint.executions, kQuota);
+
+  ServiceOptions options;
+  options.session_quota = kQuota;
+  auto quota = DiscoveryService::Start(options);
+  ASSERT_TRUE(quota.ok()) << quota.status();
+  auto resumer = ServiceClient::Connect((*quota)->endpoint());
+  ASSERT_TRUE(resumer.ok()) << resumer.status();
+  ServiceSubmission resume;
+  resume.label = "resumed";
+  resume.spec = ModelSpec(model.get());
+  resume.engine = engine;
+  resume.resume_state = checkpointed->checkpoint.state;
+  ASSERT_TRUE((*resumer)->Submit(resume).ok());
+  auto outcome = (*resumer)->Await(/*timeout_ms=*/60000);
+  if (outcome.ok()) {
+    ASSERT_FALSE(outcome->checkpointed);
+    // Quota plus at most one last round.
+    EXPECT_LE(outcome->report.executions,
+              kQuota + engine.trials_per_intervention);
+  } else {
+    EXPECT_EQ(outcome.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(outcome.status().message().find("quota"), std::string::npos)
+        << outcome.status();
+  }
+  ExpectDrained(quota->get());
 }
 
 TEST(ServiceTest, FlakySubjectResumesOnTheSameCoinFlips) {
