@@ -11,8 +11,8 @@
 //
 // Metrics keep insertion order. Attach() embeds a session's full telemetry
 // snapshot (TelemetryJson) so a bench run doubles as an exportable run
-// profile. Header-only; benches are standalone binaries and this is their
-// only shared code.
+// profile. Header-only; benches are standalone binaries sharing only
+// headers (this one and bench_transport.h).
 
 #ifndef AID_BENCH_BENCH_JSON_H_
 #define AID_BENCH_BENCH_JSON_H_

@@ -3,15 +3,19 @@
 //
 // The subject is a synthetic ground-truth model whose executions cost
 // microseconds, so the numbers isolate what the net/ machinery itself
-// charges per trial: one RUN_TRIAL frame out, streamed TRACE_EVENT frames
-// plus a VERDICT back, across a loopback TCP connection into a forked
-// runner-side subject process. The paper's real subjects take seconds per
-// execution (Section 7), which is why per-trial overhead in the hundreds
-// of microseconds makes a fleet effectively free -- and every
-// configuration must still produce the bit-identical discovery report,
-// which the bench asserts (exit 1 on divergence).
+// charges per trial: one RUN_TRIAL frame out and one TRIAL_RESULT frame
+// back, across a loopback TCP connection into a forked runner-side subject
+// process. The paper's real subjects take seconds per execution (Section
+// 7), which is why per-trial overhead in the tens to hundreds of
+// microseconds makes a fleet effectively free -- and every configuration
+// must still produce the bit-identical discovery report, which the bench
+// asserts (exit 1 on divergence). A further table splits one remote
+// replica's cost into set-up (connect + handshake + first trial) and
+// steady-state microseconds per trial.
 //
-// Usage: bench_net [model_threads] (default 14)
+// Usage: bench_net [model_threads] [trials_per_intervention]
+//   model_threads defaults to 14; trials_per_intervention defaults to the
+//   smallest count giving every session at least 1000 executions.
 
 #include <chrono>
 #include <cstdio>
@@ -22,6 +26,7 @@
 
 #include "api/session.h"
 #include "bench_json.h"
+#include "bench_transport.h"
 #include "net/runner.h"
 #include "synth/generator.h"
 #include "synth/model.h"
@@ -29,6 +34,10 @@
 namespace {
 
 using namespace aid;
+
+/// Executions every session of the bench runs at the default trial count,
+/// and the trials timed in the steady-state table.
+constexpr int kMinExecutions = 1000;
 
 struct RunStats {
   double wall_ms = 0;
@@ -79,7 +88,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   const int model_threads = argc > 1 ? std::atoi(argv[1]) : 14;
-  const int trials = 3;
 
   SyntheticAppOptions options;
   options.max_threads = model_threads;
@@ -105,6 +113,11 @@ int main(int argc, char** argv) {
     runners.push_back(std::move(*runner));
   }
 
+  const int trials =
+      argc > 2 ? std::atoi(argv[2])
+               : bench::TrialsForExecutions(
+                     RunOnce(model->get(), {}, 1, 1).report.discovery.executions,
+                     kMinExecutions);
   std::printf("subject: synthetic model, %zu predicates, %d trials/round\n",
               (*model)->size(), trials);
   std::printf("fleet: 2 loopback runners (%s, %s)\n\n", fleet[0].c_str(),
@@ -162,12 +175,34 @@ int main(int argc, char** argv) {
               runners[0]->sessions_started(),
               runners[1]->sessions_started());
 
-  // ---- heterogeneous fleet: one runner 10x slower ------------------------
+  // One replica driven directly: set-up apart from the steady state.
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model->get();
+  TargetConfig fleet_config;
+  fleet_config.fleet = {fleet[0]};
+  fleet_config.remote.trial_deadline_ms = 20000;
+  const bench::TransportCost local =
+      bench::MeasureTransport(spec, TargetConfig{}, kMinExecutions);
+  const bench::TransportCost remote =
+      bench::MeasureTransport(spec, fleet_config, kMinExecutions);
+  std::printf("one replica, %d trials after the first:\n", kMinExecutions);
+  std::printf("%-14s %12s %16s\n", "substrate", "setup_ms", "steady_us/trial");
+  std::printf("%-14s %12.3f %16.2f\n", "in_process", local.setup_ms,
+              local.steady_us_per_trial);
+  std::printf("%-14s %12.3f %16.2f\n\n", "remote_fleet", remote.setup_ms,
+              remote.steady_us_per_trial);
+  profile.Metric("remote_setup_ms", remote.setup_ms);
+  profile.Metric("remote_steady_us_per_trial", remote.steady_us_per_trial);
+  profile.Metric("in_process_steady_us_per_trial", local.steady_us_per_trial);
+
+  // ---- heterogeneous fleet: one straggling runner -------------------------
   //
-  // A third runner joins, charging 10x a typical loopback trial's cost
-  // (~200us RPC -> 2ms injected delay) per trial, and one replica lives on
-  // each runner with enough trials per round that static sharding MUST use
-  // the straggler every round. The latency-aware work-stealing scheduler
+  // A third runner joins, charging an extra 2 ms per trial -- some 60x the
+  // steady-state loopback trial measured above (about 35 us on a 4-vCPU
+  // host with g++ 12) -- and one replica lives on each runner with enough
+  // trials per round that static sharding MUST use the straggler every
+  // round. The latency-aware work-stealing scheduler
   // has to win >= 1.5x with the bit-identical report, or this bench
   // exits 1.
   {

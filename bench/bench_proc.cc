@@ -3,14 +3,18 @@
 //
 // The subject is a synthetic ground-truth model whose executions cost
 // microseconds, so the numbers isolate what the proc/ machinery itself
-// charges per trial: one RUN_TRIAL frame out, streamed TRACE_EVENT frames
-// plus a VERDICT back, across two pipes and a context switch. The paper's
-// real subjects take seconds per execution (Section 7), which is exactly
-// why per-trial overhead in the microsecond range makes isolation free in
-// practice -- and every configuration must still produce the bit-identical
-// discovery report, which the bench asserts.
+// charges per trial: one RUN_TRIAL frame out and one TRIAL_RESULT frame
+// back, across two pipes and a context switch. The paper's real subjects
+// take seconds per execution (Section 7), which is exactly why per-trial
+// overhead in the microsecond range makes isolation free in practice --
+// and every configuration must still produce the bit-identical discovery
+// report, which the bench asserts. A last table splits one subprocess
+// replica's cost into set-up (spawn + handshake + first trial) and
+// steady-state microseconds per trial.
 //
-// Usage: bench_proc [model_threads] (default 14)
+// Usage: bench_proc [model_threads] [trials_per_intervention]
+//   model_threads defaults to 14; trials_per_intervention defaults to the
+//   smallest count giving every session at least 1000 executions.
 
 #include <chrono>
 #include <cstdio>
@@ -21,6 +25,7 @@
 
 #include "api/session.h"
 #include "bench_json.h"
+#include "bench_transport.h"
 #include "proc/wire.h"
 #include "synth/generator.h"
 #include "synth/model.h"
@@ -28,6 +33,10 @@
 namespace {
 
 using namespace aid;
+
+/// Executions every session of the bench runs at the default trial count,
+/// and the trials timed in the steady-state table.
+constexpr int kMinExecutions = 1000;
 
 struct RunStats {
   double wall_ms = 0;
@@ -79,7 +88,6 @@ int main(int argc, char** argv) {
     return 0;
   }
   const int model_threads = argc > 1 ? std::atoi(argv[1]) : 14;
-  const int trials = 3;
 
   SyntheticAppOptions options;
   options.max_threads = model_threads;
@@ -91,6 +99,12 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  const int trials =
+      argc > 2 ? std::atoi(argv[2])
+               : bench::TrialsForExecutions(
+                     RunOnce(model->get(), Isolation::kInProcess, 1, 1)
+                         .report.discovery.executions,
+                     kMinExecutions);
   std::printf("subject: synthetic model, %zu predicates, %d trials/round\n\n",
               (*model)->size(), trials);
   std::printf("%-14s %-8s %10s %12s %12s %8s\n", "isolation", "workers",
@@ -147,6 +161,28 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\nall subprocess reports bit-identical to in-process runs\n");
+
+  // One replica driven directly: set-up apart from the steady state.
+  SubjectSpec spec;
+  spec.kind = SubjectKind::kModel;
+  spec.model = model->get();
+  TargetConfig in_process_config;
+  TargetConfig subprocess_config;
+  subprocess_config.isolation = Isolation::kSubprocess;
+  subprocess_config.subprocess.trial_deadline_ms = 10000;
+  const bench::TransportCost local =
+      bench::MeasureTransport(spec, in_process_config, kMinExecutions);
+  const bench::TransportCost piped =
+      bench::MeasureTransport(spec, subprocess_config, kMinExecutions);
+  std::printf("\none replica, %d trials after the first:\n", kMinExecutions);
+  std::printf("%-14s %12s %16s\n", "isolation", "setup_ms", "steady_us/trial");
+  std::printf("%-14s %12.3f %16.2f\n", "in_process", local.setup_ms,
+              local.steady_us_per_trial);
+  std::printf("%-14s %12.3f %16.2f\n", "subprocess", piped.setup_ms,
+              piped.steady_us_per_trial);
+  profile.Metric("subprocess_setup_ms", piped.setup_ms);
+  profile.Metric("subprocess_steady_us_per_trial", piped.steady_us_per_trial);
+  profile.Metric("in_process_steady_us_per_trial", local.steady_us_per_trial);
   profile.Attach(snapshot);
   profile.Write();
   return 0;

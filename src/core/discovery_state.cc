@@ -766,9 +766,9 @@ void DiscoveryState::InterventionalPruning(
     if (is_ancestor) continue;
 
     for (const PredicateLog& log : result.logs) {
-      // A crashed or timed-out trial carries only a partial observation set
-      // (whatever the subject streamed before dying); concluding "P was
-      // absent" from it would prune soundly-causal predicates. Its failed
+      // A crashed or timed-out trial carries no observation set (the
+      // subject died before answering); concluding "P was absent" from it
+      // would prune soundly-causal predicates. Its failed
       // flag still feeds the group verdict (AnyFailed), just not Definition
       // 2's absence reasoning.
       if (!log.complete()) continue;

@@ -17,7 +17,7 @@ Status SocketChannel::Write(ProcMsgType type, std::string_view payload,
 
 Result<ProcFrame> SocketChannel::Read(int deadline_ms) {
   if (fd_ < 0) return Status::Internal("socket channel: closed");
-  return ReadFrameDeadline(fd_, deadline_ms);
+  return reader_.Read(fd_, deadline_ms);
 }
 
 void SocketChannel::Close() {

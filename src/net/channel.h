@@ -1,10 +1,10 @@
 // SocketChannel: the subject wire protocol over one TCP connection.
 //
 // The frames, deadlines, and failure vocabulary are exactly proc/wire.h's
-// (the reads/writes go through the same EINTR-retrying, poll-bounded
-// primitives); the only socket-specific behavior is ownership of the single
-// full-duplex descriptor and mapping ECONNRESET to Aborted (handled in the
-// shared primitives). A connection dropping mid-frame therefore classifies
+// (writes go through the same EINTR-retrying, poll-bounded primitives and
+// reads through the same buffered FrameReader); the only socket-specific
+// behavior is ownership of the single full-duplex descriptor and mapping
+// ECONNRESET to Aborted (handled in the shared primitives). A connection dropping mid-frame therefore classifies
 // identically to a subject-host pipe closing: Aborted, "the peer died".
 
 #ifndef AID_NET_CHANNEL_H_
@@ -38,6 +38,7 @@ class SocketChannel : public FrameChannel {
 
  private:
   int fd_;
+  FrameReader reader_;
 };
 
 }  // namespace aid

@@ -10,7 +10,7 @@
 //
 //   * connection lost mid-trial (runner's session child crashed, runner
 //     died, network broke)   -> the trial is recorded failing with
-//     TrialOutcome::kCrashed and the partial log; the target reconnects
+//     TrialOutcome::kCrashed and no observations; the target reconnects
 //     with exponential backoff, failing over across its endpoint list;
 //   * per-trial deadline     -> the connection is dropped -- which is also
 //     what kills the hung subject: the runner-side watchdog sees the

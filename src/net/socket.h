@@ -58,7 +58,7 @@ Result<int> BoundPort(int listen_fd);
 /// Accepts one connection within `timeout_ms` (<= 0 = block indefinitely).
 /// DeadlineExceeded when nothing arrived; the accepted socket has CLOEXEC
 /// and TCP_NODELAY set (frames are small; Nagle would serialize the
-/// RUN_TRIAL/VERDICT ping-pong into 40ms stalls).
+/// RUN_TRIAL/TRIAL_RESULT ping-pong into 40ms stalls).
 Result<int> AcceptConnection(int listen_fd, int timeout_ms);
 
 /// Connects to `endpoint` within `timeout_ms` (<= 0 = block indefinitely):

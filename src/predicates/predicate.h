@@ -87,11 +87,11 @@ struct PredicateObservation {
 
 /// How one trial execution ended. In-process targets always complete;
 /// process-isolated targets (src/proc/) additionally report subject crashes
-/// and per-trial deadline kills. Non-completed trials carry a *partial*
-/// predicate log -- whatever the subject streamed before dying -- so
-/// consumers that reason counterfactually about absence (Definition 2
-/// pruning) must skip them, while the failed flag stays trustworthy (a
-/// subject that crashed or hung did fail).
+/// and per-trial deadline kills. Non-completed trials carry an *incomplete*
+/// predicate log -- the subject died before answering, so nothing was
+/// observed -- and consumers that reason counterfactually about absence
+/// (Definition 2 pruning) must skip them, while the failed flag stays
+/// trustworthy (a subject that crashed or hung did fail).
 enum class TrialOutcome : uint8_t {
   kCompleted = 0,
   kCrashed = 1,   ///< the subject process died mid-trial

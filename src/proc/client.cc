@@ -103,10 +103,10 @@ Result<uint32_t> HandshakeSubject(FrameChannel& channel,
   return ready_msg.catalog_size;
 }
 
-Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
-                           const std::vector<PredicateId>& intervened,
-                           int trial_deadline_ms, PredicateLog* log,
-                           Telemetry* telemetry, uint64_t trial_span_id) {
+Result<PredicateLog> RunTrialOverChannel(
+    FrameChannel& channel, uint64_t trial_index,
+    const std::vector<PredicateId>& intervened, int trial_deadline_ms,
+    Telemetry* telemetry, uint64_t trial_span_id) {
   const bool has_deadline = trial_deadline_ms > 0;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(trial_deadline_ms);
@@ -129,53 +129,38 @@ Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
                                     has_deadline ? trial_deadline_ms : 0));
 
   for (;;) {
-    // The deadline budgets the WHOLE trial, not each frame: a subject that
-    // streams events forever must still die at the deadline.
+    // The deadline budgets the WHOLE trial, send included.
     const int budget = RemainingMs(has_deadline, deadline);
     if (budget < 0) {
       return Status::DeadlineExceeded("trial " + std::to_string(trial_index) +
                                       ": deadline expired");
     }
-    Result<ProcFrame> frame = channel.Read(budget);
-    if (!frame.ok()) return frame.status();
-    switch (frame->type) {
-      case ProcMsgType::kTraceEvent: {
-        Result<TraceEventMsg> event = DecodeTraceEvent(frame->payload);
-        if (!event.ok()) return event.status();
-        log->observed[event->predicate] = {event->start, event->end};
-        break;
-      }
-      case ProcMsgType::kVerdict: {
-        Result<VerdictMsg> verdict = DecodeVerdict(frame->payload);
-        if (!verdict.ok()) return verdict.status();
-        log->failed = verdict->failed;
-        log->outcome = TrialOutcome::kCompleted;
-        if (propagate && verdict->has_host_telemetry) {
+    AID_ASSIGN_OR_RETURN(ProcFrame frame, channel.Read(budget));
+    switch (frame.type) {
+      case ProcMsgType::kTrialResult: {
+        AID_ASSIGN_OR_RETURN(TrialResultMsg result,
+                             DecodeTrialResult(frame.payload));
+        if (propagate && result.has_host_telemetry) {
           // Re-base the host's steady-clock span times into this tracer's
           // timeline: the host anchored them on its RUN_TRIAL receive
           // timestamp, which happened (wire latency aside) at our send
           // timestamp. ImportSpan clamps inside the trial span, so skew
           // can never break the cross-process nesting.
-          for (const WireHostSpan& span : verdict->host_spans) {
-            const uint64_t start =
-                engine_send_us +
-                (span.start_us >= verdict->host_recv_us
-                     ? span.start_us - verdict->host_recv_us
-                     : 0);
-            const uint64_t end =
-                engine_send_us +
-                (span.end_us >= verdict->host_recv_us
-                     ? span.end_us - verdict->host_recv_us
-                     : 0);
-            tracer->ImportSpan(span.name, trial_span_id, start, end);
+          auto rebase = [&](uint64_t host_us) {
+            return engine_send_us + (host_us >= result.host_recv_us
+                                         ? host_us - result.host_recv_us
+                                         : 0);
+          };
+          for (const WireHostSpan& span : result.host_spans) {
+            tracer->ImportSpan(span.name, trial_span_id,
+                               rebase(span.start_us), rebase(span.end_us));
           }
         }
-        return Status::OK();
+        return std::move(result.log);
       }
       case ProcMsgType::kError: {
-        Result<ErrorMsg> error = DecodeError(frame->payload);
-        if (!error.ok()) return error.status();
-        return error->ToStatus();
+        AID_ASSIGN_OR_RETURN(ErrorMsg error, DecodeError(frame.payload));
+        return error.ToStatus();
       }
       case ProcMsgType::kPong:
         // Stale answer to an earlier keepalive probe; harmless.
@@ -183,7 +168,7 @@ Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
       default:
         return Status::Internal("trial " + std::to_string(trial_index) +
                                 ": unexpected frame " +
-                                std::string(ProcMsgTypeName(frame->type)));
+                                std::string(ProcMsgTypeName(frame.type)));
     }
   }
 }
@@ -194,8 +179,7 @@ Result<PredicateLog> RunTrialWithRecovery(
     TargetHealth* health, const std::function<Status()>& replace_peer,
     Telemetry* telemetry) {
   // Trial timing at the wire, charged on every exit path: the substrate's
-  // real per-trial latency -- RPC, streamed events, and any peer
-  // replacement -- feeds the latency-aware scheduler's per-replica EWMA
+  // real per-trial latency -- RPC and any peer replacement -- feeds the latency-aware scheduler's per-replica EWMA
   // (exec/scheduler.h) and the fleet's endpoint placement (net/latency.h).
   const Clock::time_point start = Clock::now();
   // The engine-side "trial" span, parented under whatever round span the
@@ -207,27 +191,25 @@ Result<PredicateLog> RunTrialWithRecovery(
                             telemetry->active_parent());
   }
   Result<PredicateLog> out = [&]() -> Result<PredicateLog> {
-    PredicateLog log;
-    const Status run =
+    Result<PredicateLog> run =
         RunTrialOverChannel(channel, trial_index, intervened,
-                            trial_deadline_ms, &log, telemetry,
-                            trial_span.id());
-    if (run.ok()) return log;
-    if (run.code() == StatusCode::kAborted) {
-      log.failed = true;
+                            trial_deadline_ms, telemetry, trial_span.id());
+    const StatusCode code = run.status().code();
+    if (code != StatusCode::kAborted && code != StatusCode::kDeadlineExceeded) {
+      return run;
+    }
+    // The subject never answered: a failing trial with no observations.
+    PredicateLog log;
+    log.failed = true;
+    if (code == StatusCode::kAborted) {
       log.outcome = TrialOutcome::kCrashed;
       ++health->crashed_trials;
-      AID_RETURN_IF_ERROR(replace_peer());
-      return log;
-    }
-    if (run.code() == StatusCode::kDeadlineExceeded) {
-      log.failed = true;
+    } else {
       log.outcome = TrialOutcome::kTimedOut;
       ++health->timed_out_trials;
-      AID_RETURN_IF_ERROR(replace_peer());
-      return log;
     }
-    return run;
+    AID_RETURN_IF_ERROR(replace_peer());
+    return log;
   }();
   trial_span.End();
   const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(

@@ -2,8 +2,8 @@
 //
 // proc::SubprocessTarget (pipes to a fork/exec'd child) and
 // net::RemoteTarget (TCP to an aid_runner) speak the identical conversation
-// -- HELLO/SPEC/READY handshake, then RUN_TRIAL / TRACE_EVENT* / VERDICT
-// trials -- and differ only in how they create, kill, and replace the peer.
+// -- HELLO/SPEC/READY handshake, then RUN_TRIAL / TRIAL_RESULT trials --
+// and differ only in how they create, kill, and replace the peer.
 // These helpers implement the shared conversation over any FrameChannel so
 // the transports implement nothing but lifecycle.
 //
@@ -59,27 +59,23 @@ Result<uint32_t> HandshakeSubject(FrameChannel& channel,
                                   std::string_view spec_bytes,
                                   const SubjectHandshake& options);
 
-/// Runs one trial over `channel`: sends RUN_TRIAL, collects the streamed
-/// TRACE_EVENTs into `*log`, and closes it on VERDICT. `trial_deadline_ms`
-/// budgets the WHOLE trial (send included): a subject that streams events
-/// forever still times out. Stray PONGs from an earlier keepalive probe are
-/// skipped. A host-side ERROR frame is returned as its carried Status;
-/// Aborted / DeadlineExceeded surface the channel's classification for the
-/// caller to turn into crashed / timed-out trial accounting -- in both
-/// cases the events streamed before the failure are KEPT in `*log`
-/// (outcome stays non-complete), so pruning can still see the partial
-/// observation set.
+/// Runs one trial over `channel`: sends RUN_TRIAL and returns the log the
+/// host's TRIAL_RESULT carries (verdict + every observed predicate,
+/// outcome kCompleted). `trial_deadline_ms` budgets the WHOLE trial (send
+/// included). Stray PONGs from an earlier keepalive probe are skipped. A
+/// host-side ERROR frame is returned as its carried Status; Aborted /
+/// DeadlineExceeded surface the channel's classification for the caller
+/// to turn into crashed / timed-out trial accounting.
 ///
 /// Telemetry (both optional): with a non-null `telemetry` and a nonzero
 /// `trial_span_id`, the RUN_TRIAL carries the engine-side span context over
-/// the wire and any host-side spans returned in the VERDICT are re-based
-/// into the engine tracer's timeline and imported under `trial_span_id` --
-/// the cross-process nesting of docs/telemetry.md.
-Status RunTrialOverChannel(FrameChannel& channel, uint64_t trial_index,
-                           const std::vector<PredicateId>& intervened,
-                           int trial_deadline_ms, PredicateLog* log,
-                           Telemetry* telemetry = nullptr,
-                           uint64_t trial_span_id = 0);
+/// the wire and any host-side spans returned in the TRIAL_RESULT are
+/// re-based into the engine tracer's timeline and imported under
+/// `trial_span_id` -- the cross-process nesting of docs/telemetry.md.
+Result<PredicateLog> RunTrialOverChannel(
+    FrameChannel& channel, uint64_t trial_index,
+    const std::vector<PredicateId>& intervened, int trial_deadline_ms,
+    Telemetry* telemetry = nullptr, uint64_t trial_span_id = 0);
 
 /// Keepalive probe: sends PING with `token` and waits for the PONG echoing
 /// it, skipping unrelated stale frames. DeadlineExceeded after `timeout_ms`,
@@ -89,11 +85,12 @@ Status PingPeer(FrameChannel& channel, uint64_t token, int timeout_ms);
 /// RunTrialOverChannel plus the shared failure lifecycle of the
 /// process-backed transports: a peer death (Aborted) records a crashed
 /// trial, a deadline expiry records a timed-out trial -- both failing,
-/// both keeping the partial log (paper semantics: the failure was
-/// certainly not repressed, and pruning must not reason from an
-/// incomplete observation set), both counted into `*health` -- and in
-/// either case `replace_peer` is invoked to stand up a fresh subject
-/// (respawn a child, reconnect a socket); its error fails the run.
+/// both with an empty observation set (paper semantics: the failure was
+/// certainly not repressed, and pruning skips non-complete logs, so it
+/// never reasons from the missing observations), both counted into
+/// `*health` -- and in either case `replace_peer` is invoked to stand up a
+/// fresh subject (respawn a child, reconnect a socket); its error fails the
+/// run.
 /// Other errors (host-side ERROR frames, protocol corruption) propagate.
 /// Every path also charges the trial's wall-clock (wire time plus any peer
 /// replacement) into `health->trial_micros`: the substrate-level timing

@@ -49,30 +49,6 @@ uint64_t HostNowMicros() {
           .count());
 }
 
-Status SendTrialAnswer(FrameChannel& channel, const PredicateLog& log,
-                       bool with_telemetry, uint64_t host_recv_us,
-                       std::vector<WireHostSpan> host_spans) {
-  for (const auto& [id, observation] : log.observed) {
-    TraceEventMsg event;
-    event.predicate = id;
-    event.start = observation.start;
-    event.end = observation.end;
-    AID_RETURN_IF_ERROR(
-        channel.Write(ProcMsgType::kTraceEvent, EncodeTraceEvent(event)));
-  }
-  VerdictMsg verdict;
-  verdict.failed = log.failed;
-  if (with_telemetry) {
-    // The engine asked for span context on the RUN_TRIAL; answer with the
-    // host-side spans in OUR clock domain, anchored on the receive
-    // timestamp the engine re-bases against (see proc/client.cc).
-    verdict.has_host_telemetry = true;
-    verdict.host_recv_us = host_recv_us;
-    verdict.host_spans = std::move(host_spans);
-  }
-  return channel.Write(ProcMsgType::kVerdict, EncodeVerdict(verdict));
-}
-
 /// Answers a STATS request with the self-describing JSON document of
 /// `aid_runner --stats`: daemon uptime / session count (zeros when run
 /// outside a daemon, e.g. under plain SubprocessTarget) plus the shared
@@ -273,20 +249,22 @@ int RunSubjectHost(FrameChannel& channel, const SubjectHostOptions& host) {
           host.shared_stats->RecordTrial(run_end_us - recv_us,
                                          result->logs.front().failed);
         }
-        // Host-side spans, sent back only when the engine propagated span
-        // context on the request: host.trial covers the whole request
-        // handling (delay injection included), host.subject_run just the
-        // subject's execution. Times stay in this host's clock domain.
-        std::vector<WireHostSpan> host_spans;
+        // The whole answer in one frame. Host-side spans go back only when
+        // the engine propagated span context on the request: host.trial
+        // covers the whole request handling (delay injection included),
+        // host.subject_run just the subject's execution. Times stay in this
+        // host's clock domain; the engine re-bases them against recv_us
+        // (see proc/client.cc).
+        TrialResultMsg answer;
+        answer.log = std::move(result->logs.front());
         if (request->has_span_context) {
-          host_spans.push_back(
-              WireHostSpan{"host.trial", recv_us, run_end_us});
-          host_spans.push_back(
-              WireHostSpan{"host.subject_run", run_start_us, run_end_us});
+          answer.has_host_telemetry = true;
+          answer.host_recv_us = recv_us;
+          answer.host_spans = {
+              WireHostSpan{"host.trial", recv_us, run_end_us},
+              WireHostSpan{"host.subject_run", run_start_us, run_end_us}};
         }
-        if (!SendTrialAnswer(channel, result->logs.front(),
-                             request->has_span_context, recv_us,
-                             std::move(host_spans))
+        if (!channel.Write(ProcMsgType::kTrialResult, EncodeTrialResult(answer))
                  .ok()) {
           return 2;
         }

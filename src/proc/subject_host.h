@@ -8,8 +8,8 @@
 // (OpenSubject, which runs the backend's observation phase where one
 // exists), acknowledges (READY), and then answers RUN_TRIAL
 // requests by seeking to the requested global trial index, executing one
-// trial, streaming the observed predicates as TRACE_EVENT frames, and
-// closing the trial with a VERDICT frame.
+// trial, and answering with one TRIAL_RESULT frame: the verdict and every
+// observed predicate.
 //
 // The host is deliberately a library function plus a thin main(): tests can
 // drive RunSubjectHost over plain pipes without fork/exec, and the binary

@@ -12,8 +12,8 @@
 //
 //   * child crash (EOF / EPIPE mid-trial)  -> the trial is recorded as a
 //     failing execution with TrialOutcome::kCrashed and a fresh child is
-//     spawned; the partial predicate log streamed before death is kept
-//     (complete() == false, so Definition 2 pruning skips it);
+//     spawned; the trial carries no observations (complete() == false,
+//     so Definition 2 pruning skips it);
 //   * per-trial deadline expiring          -> the child is SIGKILLed, the
 //     trial is recorded failing with TrialOutcome::kTimedOut, respawn;
 //   * crash loops                          -> after max_respawns respawns

@@ -10,6 +10,7 @@
 #include <unistd.h>
 #endif
 
+#include <algorithm>
 #include <chrono>
 #include <mutex>
 
@@ -22,13 +23,12 @@ std::string_view ProcMsgTypeName(ProcMsgType type) {
     case ProcMsgType::kReady: return "READY";
     case ProcMsgType::kError: return "ERROR";
     case ProcMsgType::kRunTrial: return "RUN_TRIAL";
-    case ProcMsgType::kTraceEvent: return "TRACE_EVENT";
-    case ProcMsgType::kVerdict: return "VERDICT";
     case ProcMsgType::kShutdown: return "SHUTDOWN";
     case ProcMsgType::kPing: return "PING";
     case ProcMsgType::kPong: return "PONG";
     case ProcMsgType::kStats: return "STATS";
     case ProcMsgType::kStatsReply: return "STATS_REPLY";
+    case ProcMsgType::kTrialResult: return "TRIAL_RESULT";
   }
   return "UNKNOWN";
 }
@@ -65,6 +65,13 @@ Status WriteAll(int fd, const char* data, size_t n) {
 
 using Clock = std::chrono::steady_clock;
 
+/// Milliseconds left until `deadline`, rounded down; <= 0 = expired.
+int RemainingMs(Clock::time_point deadline) {
+  return static_cast<int>(std::chrono::duration_cast<std::chrono::milliseconds>(
+                              deadline - Clock::now())
+                              .count());
+}
+
 /// WriteAll with an absolute give-up point: the fd is flipped to
 /// non-blocking for the duration and each would-block wait goes through
 /// poll(POLLOUT) with the remaining budget, so a peer that stops draining
@@ -96,10 +103,7 @@ Status WriteAllDeadline(int fd, const char* data, size_t n,
                               std::strerror(errno));
     }
     // Pipe full: wait for drain within the remaining budget.
-    const auto remaining = deadline - Clock::now();
-    const int remaining_ms = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-            .count());
+    const int remaining_ms = RemainingMs(deadline);
     if (remaining_ms <= 0) {
       restore();
       return Status::DeadlineExceeded("proc wire: write deadline expired");
@@ -122,67 +126,17 @@ Status WriteAllDeadline(int fd, const char* data, size_t n,
   return Status::OK();
 }
 
-/// Reads exactly `n` bytes. `deadline` is the absolute give-up point
-/// (time_point::max() = block forever). EOF mid-message is Aborted: the only
-/// writer is the peer process, so a short stream means it died.
-Status ReadAllDeadline(int fd, char* out, size_t n, Clock::time_point deadline) {
-  size_t got = 0;
-  while (got < n) {
-    if (deadline != Clock::time_point::max()) {
-      const auto remaining = deadline - Clock::now();
-      const int remaining_ms = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(remaining)
-              .count());
-      if (remaining_ms <= 0) {
-        return Status::DeadlineExceeded("proc wire: read deadline expired");
-      }
-      struct pollfd pfd;
-      pfd.fd = fd;
-      pfd.events = POLLIN;
-      const int rc = ::poll(&pfd, 1, remaining_ms);
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        return Status::Internal(std::string("proc wire: poll failed: ") +
-                                std::strerror(errno));
-      }
-      if (rc == 0) {
-        return Status::DeadlineExceeded("proc wire: read deadline expired");
-      }
-      // POLLHUP with buffered data still reads; plain read() below decides.
-    }
-    const ssize_t rc = ::read(fd, out + got, n - got);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      if (errno == ECONNRESET) {
-        return Status::Aborted("proc wire: peer reset the connection");
-      }
-      return Status::Internal(std::string("proc wire: read failed: ") +
-                              std::strerror(errno));
-    }
-    if (rc == 0) {
-      return Status::Aborted("proc wire: peer closed the channel (EOF)");
-    }
-    got += static_cast<size_t>(rc);
-  }
-  return Status::OK();
-}
+/// Bytes a frame occupies in front of its payload: u32 length + u8 type.
+constexpr size_t kFrameHeaderBytes = sizeof(uint32_t) + 1;
 
-Result<ProcFrame> ReadFrameUntil(int fd, Clock::time_point deadline) {
-  uint32_t length = 0;
-  AID_RETURN_IF_ERROR(
-      ReadAllDeadline(fd, reinterpret_cast<char*>(&length), sizeof(length),
-                      deadline));
-  if (length < 1 || length > kProcMaxFramePayload + 1) {
-    return Status::InvalidArgument("proc wire: corrupt frame length " +
-                                   std::to_string(length));
-  }
-  std::string body(length, '\0');
-  AID_RETURN_IF_ERROR(ReadAllDeadline(fd, body.data(), body.size(), deadline));
-  ProcFrame frame;
-  frame.type = static_cast<ProcMsgType>(static_cast<uint8_t>(body[0]));
-  frame.payload = body.substr(1);
-  return frame;
-}
+/// A fresh buffer's size: one page holds a trial answer of ~200 observed
+/// predicates, so steady-state reads never grow it.
+constexpr size_t kInitialReadBuffer = 4096;
+
+/// A buffer grown past this for one long frame (a subject spec, a stats
+/// document) is released once drained instead of being kept for the
+/// channel's lifetime.
+constexpr size_t kRetainedReadBuffer = 64 * 1024;
 
 }  // namespace
 
@@ -225,14 +179,94 @@ Status WriteFrameDeadline(int fd, ProcMsgType type, std::string_view payload,
   return WriteAllDeadline(fd, frame.data(), frame.size(), deadline);
 }
 
-Result<ProcFrame> ReadFrame(int fd) {
-  return ReadFrameUntil(fd, Clock::time_point::max());
+void FrameReader::Reserve(size_t frame_bytes) {
+  // Only an incomplete frame is left (complete ones were parsed first), so
+  // moving it to the front is cheap.
+  if (begin_ > 0) {
+    std::memmove(buffer_.get(), buffer_.get() + begin_, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+  }
+  if (capacity_ >= frame_bytes) return;
+  const size_t capacity =
+      std::max({frame_bytes, kInitialReadBuffer, 2 * capacity_});
+  auto grown = std::make_unique_for_overwrite<char[]>(capacity);
+  if (end_ > 0) std::memcpy(grown.get(), buffer_.get(), end_);
+  buffer_ = std::move(grown);
+  capacity_ = capacity;
 }
 
-Result<ProcFrame> ReadFrameDeadline(int fd, int deadline_ms) {
-  if (deadline_ms <= 0) return ReadFrame(fd);
-  return ReadFrameUntil(fd,
-                        Clock::now() + std::chrono::milliseconds(deadline_ms));
+Result<ProcFrame> FrameReader::Read(int fd, int deadline_ms) {
+  const bool has_deadline = deadline_ms > 0;
+  const Clock::time_point deadline =
+      has_deadline ? Clock::now() + std::chrono::milliseconds(deadline_ms)
+                   : Clock::time_point::max();
+  for (;;) {
+    // Parse first: a frame may already sit whole in the buffer.
+    size_t need = kFrameHeaderBytes;
+    if (end_ - begin_ >= sizeof(uint32_t)) {
+      const uint32_t length =
+          WireReader(std::string_view(buffer_.get() + begin_, sizeof(uint32_t)))
+              .U32();
+      if (length < 1 || length > kProcMaxFramePayload + 1) {
+        return Status::InvalidArgument("proc wire: corrupt frame length " +
+                                       std::to_string(length));
+      }
+      need = sizeof(uint32_t) + length;
+      if (end_ - begin_ >= need) {
+        const char* frame_start = buffer_.get() + begin_;
+        ProcFrame frame;
+        frame.type = static_cast<ProcMsgType>(
+            static_cast<uint8_t>(frame_start[sizeof(uint32_t)]));
+        frame.payload.assign(frame_start + kFrameHeaderBytes,
+                             need - kFrameHeaderBytes);
+        begin_ += need;
+        if (begin_ == end_) {
+          begin_ = end_ = 0;
+          if (capacity_ > kRetainedReadBuffer) {
+            buffer_.reset();
+            capacity_ = 0;
+          }
+        }
+        return frame;
+      }
+    }
+    Reserve(need);
+    if (has_deadline) {
+      const int remaining_ms = RemainingMs(deadline);
+      if (remaining_ms <= 0) {
+        return Status::DeadlineExceeded("proc wire: read deadline expired");
+      }
+      struct pollfd pfd;
+      pfd.fd = fd;
+      pfd.events = POLLIN;
+      const int rc = ::poll(&pfd, 1, remaining_ms);
+      if (rc < 0) {
+        if (errno == EINTR) continue;
+        return Status::Internal(std::string("proc wire: poll failed: ") +
+                                std::strerror(errno));
+      }
+      if (rc == 0) {
+        return Status::DeadlineExceeded("proc wire: read deadline expired");
+      }
+      // POLLHUP with buffered data still reads; plain read() below decides.
+    }
+    const ssize_t rc = ::read(fd, buffer_.get() + end_, capacity_ - end_);
+    if (rc < 0) {
+      if (errno == EINTR) continue;
+      if (errno == ECONNRESET) {
+        return Status::Aborted("proc wire: peer reset the connection");
+      }
+      return Status::Internal(std::string("proc wire: read failed: ") +
+                              std::strerror(errno));
+    }
+    if (rc == 0) {
+      // The only writer is the peer process: EOF, mid-frame or between
+      // frames, means it died.
+      return Status::Aborted("proc wire: peer closed the channel (EOF)");
+    }
+    end_ += static_cast<size_t>(rc);
+  }
 }
 
 Status PipeChannel::Write(ProcMsgType type, std::string_view payload,
@@ -247,7 +281,7 @@ Result<ProcFrame> PipeChannel::Read(int deadline_ms) {
   if (read_fd_ < 0) {
     return Status::Internal("pipe channel: read side is closed");
   }
-  return ReadFrameDeadline(read_fd_, deadline_ms);
+  return reader_.Read(read_fd_, deadline_ms);
 }
 
 void PipeChannel::Close() {
@@ -271,12 +305,7 @@ Status WriteFrameDeadline(int, ProcMsgType, std::string_view, int) {
       "proc wire: pipes are unavailable on this platform");
 }
 
-Result<ProcFrame> ReadFrame(int) {
-  return Status::Unimplemented(
-      "proc wire: pipes are unavailable on this platform");
-}
-
-Result<ProcFrame> ReadFrameDeadline(int, int) {
+Result<ProcFrame> FrameReader::Read(int, int) {
   return Status::Unimplemented(
       "proc wire: pipes are unavailable on this platform");
 }
@@ -387,30 +416,21 @@ Result<RunTrialMsg> DecodeRunTrial(std::string_view payload) {
   return msg;
 }
 
-std::string EncodeTraceEvent(const TraceEventMsg& msg) {
-  WireWriter writer;
-  writer.I32(msg.predicate);
-  writer.I64(msg.start);
-  writer.I64(msg.end);
-  return writer.Release();
-}
+/// Wire size of one observed predicate: i32 id + i64 start + i64 end.
+constexpr size_t kObservationBytes = sizeof(int32_t) + 2 * sizeof(int64_t);
 
-Result<TraceEventMsg> DecodeTraceEvent(std::string_view payload) {
-  WireReader reader(payload);
-  TraceEventMsg msg;
-  msg.predicate = reader.I32();
-  msg.start = reader.I64();
-  msg.end = reader.I64();
-  AID_RETURN_IF_ERROR(reader.Finish());
-  return msg;
-}
-
-std::string EncodeVerdict(const VerdictMsg& msg) {
+std::string EncodeTrialResult(const TrialResultMsg& msg) {
   WireWriter writer;
-  writer.U8(msg.failed ? 1 : 0);
+  writer.U8(msg.log.failed ? 1 : 0);
+  writer.U32(static_cast<uint32_t>(msg.log.observed.size()));
+  for (const auto& [id, observation] : msg.log.observed) {
+    writer.I32(id);
+    writer.I64(observation.start);
+    writer.I64(observation.end);
+  }
   if (msg.has_host_telemetry) {
     // Optional trailing host-telemetry block, mirrored on RUN_TRIAL's
-    // SPAN_CONTEXT: absent = pre-telemetry bytes.
+    // SPAN_CONTEXT: absent unless the engine asked for it.
     writer.U64(msg.host_recv_us);
     writer.U32(static_cast<uint32_t>(msg.host_spans.size()));
     for (const WireHostSpan& span : msg.host_spans) {
@@ -422,16 +442,26 @@ std::string EncodeVerdict(const VerdictMsg& msg) {
   return writer.Release();
 }
 
-Result<VerdictMsg> DecodeVerdict(std::string_view payload) {
+Result<TrialResultMsg> DecodeTrialResult(std::string_view payload) {
   WireReader reader(payload);
-  VerdictMsg msg;
-  msg.failed = reader.U8() != 0;
+  TrialResultMsg msg;
+  msg.log.failed = reader.U8() != 0;
+  const uint32_t count = reader.Count(kObservationBytes);
+  AID_RETURN_IF_ERROR(reader.status());
+  msg.log.observed.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    const PredicateId id = reader.I32();
+    PredicateObservation& observation = msg.log.observed[id];
+    observation.start = reader.I64();
+    observation.end = reader.I64();
+  }
   if (reader.ok() && reader.remaining() > 0) {
     msg.host_recv_us = reader.U64();
-    const uint32_t count = reader.Count(sizeof(uint32_t) + 2 * sizeof(uint64_t));
+    const uint32_t spans =
+        reader.Count(sizeof(uint32_t) + 2 * sizeof(uint64_t));
     AID_RETURN_IF_ERROR(reader.status());
-    msg.host_spans.reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
+    msg.host_spans.reserve(spans);
+    for (uint32_t i = 0; i < spans; ++i) {
       WireHostSpan span;
       span.name = reader.Str();
       span.start_us = reader.U64();

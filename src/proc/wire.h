@@ -1,4 +1,4 @@
-// The AID subject wire protocol (version 2).
+// The AID subject wire protocol (version 3).
 //
 // A debugging engine and a subject host speak length-prefixed binary frames
 // over any byte transport -- the pipe pair of a fork/exec'd child
@@ -17,8 +17,7 @@
 //                   or ERROR      status code + message (bad spec, failed
 //                                 observation, version mismatch)
 //   engine -> host     RUN_TRIAL  global trial index + intervened predicates
-//   host   -> engine   TRACE_EVENT * N    streamed predicate observations
-//   host   -> engine   VERDICT    failed flag (closes the trial)
+//   host   -> engine   TRIAL_RESULT  verdict + every observed predicate
 //                   or ERROR      subject-level error for this trial
 //   ...                (RUN_TRIAL repeats)
 //   engine -> host     PING       keepalive probe (any time between trials)
@@ -28,17 +27,19 @@
 //   engine -> host     SHUTDOWN   host exits 0
 //
 // Version 2 added the PING/PONG keepalive pair (idle fleet connections need
-// a liveness probe; over pipes the pair is a harmless no-op).
+// a liveness probe; over pipes the pair is a harmless no-op). Version 3
+// answers a trial with ONE TRIAL_RESULT frame -- one write on the host, one
+// read on the engine -- where v2 streamed a TRACE_EVENT frame per observed
+// predicate and closed the trial with a VERDICT. A trial the subject does
+// not finish (crash, hang) therefore carries no observations at all.
 //
-// Still version 2 (additive, no version bump): RUN_TRIAL may carry an
-// optional trailing SPAN_CONTEXT (trace id + parent span id) and VERDICT an
-// optional trailing host-telemetry block (receive timestamp + host-side
-// spans). Both are appended only when the sender's telemetry is enabled;
-// with telemetry off the encoded bytes are identical to pre-telemetry
-// builds, and current decoders accept frames with or without the trailing
-// block. The STATS / STATS_REPLY pair is likewise additive: hosts that
-// predate it answer with their normal unexpected-frame ERROR, which stats
-// clients surface as "unsupported".
+// Optional trailing blocks (appended only when the sender's telemetry is
+// enabled; decoders accept frames with or without them): RUN_TRIAL may
+// carry a SPAN_CONTEXT (trace id + parent span id), and TRIAL_RESULT then
+// carries a host-telemetry block (receive timestamp + host-side spans). The
+// STATS / STATS_REPLY pair is additive too: hosts that predate it answer
+// with their normal unexpected-frame ERROR, which stats clients surface as
+// "unsupported".
 //
 // Failure semantics live at the transport layer: an EOF or write error means
 // the peer died (the engine records a crashed trial and respawns or
@@ -47,11 +48,12 @@
 // docs/proc_protocol.md and docs/remote_protocol.md for the full
 // specification.
 //
-// The free WriteFrame/ReadFrame functions speak the protocol over raw file
-// descriptors; FrameChannel wraps them behind a transport-agnostic interface
-// (PipeChannel here, net::SocketChannel for TCP) so protocol drivers --
-// proc/client.h, proc/subject_host -- never care which transport carries
-// their frames.
+// WriteFrame/WriteFrameDeadline write one frame with one write(2); a
+// FrameReader parses frames out of a per-channel buffer filled by one
+// read(2) per wake-up. FrameChannel wraps both behind a transport-agnostic
+// interface (PipeChannel here, net::SocketChannel for TCP) so protocol
+// drivers -- proc/client.h, proc/subject_host -- never care which transport
+// carries their frames.
 //
 // Platform support: the transports use POSIX descriptors. On platforms
 // without them, SubprocessIsolationSupported() returns false and every
@@ -61,6 +63,7 @@
 #define AID_PROC_WIRE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -82,8 +85,8 @@ constexpr bool SubprocessIsolationSupported() {
 }
 
 inline constexpr uint32_t kProcMagic = 0x41494450;  // "AIDP"
-/// v2 = v1 + the PING/PONG keepalive pair.
-inline constexpr uint32_t kProcProtocolVersion = 2;
+/// v2 = v1 + the PING/PONG keepalive pair; v3 = one TRIAL_RESULT per trial.
+inline constexpr uint32_t kProcProtocolVersion = 3;
 
 /// Frames larger than this are rejected as corrupt before any allocation;
 /// real frames are dominated by subject specs (programs/models, ~KBs).
@@ -95,13 +98,13 @@ enum class ProcMsgType : uint8_t {
   kReady = 3,
   kError = 4,
   kRunTrial = 5,
-  kTraceEvent = 6,
-  kVerdict = 7,
+  // 6 and 7 stay unassigned: v2 peers sent per-predicate frames with them.
   kShutdown = 8,
   kPing = 9,
   kPong = 10,
   kStats = 11,
   kStatsReply = 12,
+  kTrialResult = 13,
 };
 
 std::string_view ProcMsgTypeName(ProcMsgType type);
@@ -128,14 +131,32 @@ Status WriteFrame(int fd, ProcMsgType type, std::string_view payload);
 Status WriteFrameDeadline(int fd, ProcMsgType type, std::string_view payload,
                           int deadline_ms);
 
-/// Reads one frame, blocking indefinitely. Returns Aborted on EOF (peer
-/// died), InvalidArgument on a corrupt length prefix.
-Result<ProcFrame> ReadFrame(int fd);
+/// Buffered frame reader, one per channel (PipeChannel and SocketChannel
+/// share it). Each wake-up costs one read(2) of whatever the peer has sent;
+/// frames are parsed out of the buffer, and bytes past the returned frame
+/// stay buffered for the next Read. The buffer is allocated on first use at
+/// a few KiB, grows only to fit a longer frame, and drops back once a
+/// large frame has been consumed.
+class FrameReader {
+ public:
+  /// Reads one frame from `fd`, giving up after `deadline_ms` measured
+  /// across the whole frame (poll()-based; <= 0 blocks indefinitely).
+  /// Aborted on EOF or ECONNRESET (the peer died, mid-frame or not);
+  /// InvalidArgument on a corrupt length prefix, which is checked against
+  /// kProcMaxFramePayload before the buffer grows; DeadlineExceeded on
+  /// expiry, with the bytes received so far kept buffered.
+  Result<ProcFrame> Read(int fd, int deadline_ms = 0);
 
-/// Reads one frame, giving up after `deadline_ms` (measured across the
-/// whole frame, poll()-based). Returns DeadlineExceeded on expiry with the
-/// partial bytes discarded; deadline_ms <= 0 means block indefinitely.
-Result<ProcFrame> ReadFrameDeadline(int fd, int deadline_ms);
+ private:
+  /// Makes room for a frame of `frame_bytes` (header included) starting at
+  /// begin_: compacts the buffer, and grows it when the frame is longer.
+  void Reserve(size_t frame_bytes);
+
+  std::unique_ptr<char[]> buffer_;
+  size_t capacity_ = 0;
+  size_t begin_ = 0;  ///< first unconsumed byte
+  size_t end_ = 0;    ///< one past the last received byte
+};
 
 // ------------------------------------------------------------- channels ----
 
@@ -191,6 +212,7 @@ class PipeChannel : public FrameChannel {
   int read_fd_;
   int write_fd_;
   bool owns_fds_;
+  FrameReader reader_;
 };
 
 // ------------------------------------------------------------ messages ----
@@ -230,28 +252,29 @@ struct RunTrialMsg {
   uint64_t parent_span_id = 0;
 };
 
-/// One streamed predicate observation of the running trial.
-struct TraceEventMsg {
-  PredicateId predicate = kInvalidPredicate;
-  int64_t start = 0;
-  int64_t end = 0;
-};
-
-/// One host-side span carried back in a VERDICT's telemetry block. Times
-/// are microseconds on the HOST's steady clock; the engine re-bases them
-/// into its tracer timeline (see proc/client.cc).
+/// One host-side span carried back in a TRIAL_RESULT's telemetry block.
+/// Times are microseconds on the HOST's steady clock; the engine re-bases
+/// them into its tracer timeline (see proc/client.cc).
 struct WireHostSpan {
   std::string name;
   uint64_t start_us = 0;
   uint64_t end_us = 0;
 };
 
-struct VerdictMsg {
-  bool failed = false;
-  /// Optional trailing host telemetry, sent only when the RUN_TRIAL carried
-  /// a SPAN_CONTEXT: the host clock's timestamp at which the RUN_TRIAL was
-  /// received (the engine's re-basing anchor) and the host-side spans of
-  /// this trial.
+/// The host's whole answer to one RUN_TRIAL (v3):
+///
+///   u8  failed
+///   u32 count, then count x (i32 predicate, i64 start, i64 end)
+///   [u64 host_recv_us, u32 span count, spans x (str name, u64, u64)]
+///
+/// The bracketed host-telemetry block is appended only when the RUN_TRIAL
+/// carried a SPAN_CONTEXT: the host clock's timestamp at which the
+/// RUN_TRIAL was received (the engine's re-basing anchor) and the
+/// host-side spans of this trial.
+struct TrialResultMsg {
+  /// The verdict and the observed predicates. The outcome is not on the
+  /// wire: a decoded result is a completed trial.
+  PredicateLog log;
   bool has_host_telemetry = false;
   uint64_t host_recv_us = 0;
   std::vector<WireHostSpan> host_spans;
@@ -280,10 +303,11 @@ std::string EncodeError(const Status& status);
 Result<ErrorMsg> DecodeError(std::string_view payload);
 std::string EncodeRunTrial(const RunTrialMsg& msg);
 Result<RunTrialMsg> DecodeRunTrial(std::string_view payload);
-std::string EncodeTraceEvent(const TraceEventMsg& msg);
-Result<TraceEventMsg> DecodeTraceEvent(std::string_view payload);
-std::string EncodeVerdict(const VerdictMsg& msg);
-Result<VerdictMsg> DecodeVerdict(std::string_view payload);
+std::string EncodeTrialResult(const TrialResultMsg& msg);
+/// InvalidArgument for any payload that is not exactly one well-formed
+/// TRIAL_RESULT (count past the payload, truncated entry or telemetry
+/// block, trailing bytes); a hostile count never sizes an allocation.
+Result<TrialResultMsg> DecodeTrialResult(std::string_view payload);
 std::string EncodePing(const PingMsg& msg);
 Result<PingMsg> DecodePing(std::string_view payload);
 std::string EncodeStatsReply(const StatsReplyMsg& msg);

@@ -9,11 +9,11 @@ namespace aid {
 
 #if AID_NET_SUPPORTED
 
-Result<std::unique_ptr<ServiceClient>> ServiceClient::Connect(
-    const Endpoint& endpoint, int timeout_ms) {
-  AID_ASSIGN_OR_RETURN(int fd, ConnectTo(endpoint, timeout_ms));
-  auto channel = std::make_unique<SocketChannel>(fd);
-  AID_ASSIGN_OR_RETURN(ProcFrame frame, channel->Read(timeout_ms));
+namespace {
+
+/// Checks the frame the service opens every connection with: its HELLO
+/// (magic "AIDS", protocol version), or an ERROR in its place.
+Status CheckServiceHello(const ProcFrame& frame) {
   if (frame.type == ProcMsgType::kError) {
     AID_ASSIGN_OR_RETURN(ErrorMsg error, DecodeError(frame.payload));
     return error.ToStatus();
@@ -30,7 +30,16 @@ Result<std::unique_ptr<ServiceClient>> ServiceClient::Connect(
         std::to_string(hello.version) + ", expected " +
         std::to_string(kServiceProtocolVersion) + ")");
   }
-  return std::unique_ptr<ServiceClient>(new ServiceClient(std::move(channel)));
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<std::unique_ptr<ServiceClient>> ServiceClient::Connect(
+    const Endpoint& endpoint, int timeout_ms) {
+  AID_ASSIGN_OR_RETURN(int fd, ConnectTo(endpoint, timeout_ms));
+  return std::unique_ptr<ServiceClient>(
+      new ServiceClient(std::make_unique<SocketChannel>(fd), timeout_ms));
 }
 
 Result<AcceptedMsg> ServiceClient::Submit(const ServiceSubmission& submission) {
@@ -42,8 +51,16 @@ Result<AcceptedMsg> ServiceClient::Submit(const ServiceSubmission& submission) {
   msg.engine = engine.Release();
   msg.checkpoint_after_rounds = submission.checkpoint_after_rounds;
   msg.state = submission.resume_state;
-  AID_RETURN_IF_ERROR(channel_->Write(AsProcMsgType(ServiceMsgType::kSubmit),
-                                      EncodeSubmit(msg)));
+  // SUBMIT goes out before the service's HELLO is read: the service writes
+  // HELLO first and then reads, so admission costs one round trip.
+  const Status sent = channel_->Write(AsProcMsgType(ServiceMsgType::kSubmit),
+                                      EncodeSubmit(msg), hello_timeout_ms_);
+  // The HELLO (or an ERROR in its place) explains a refused SUBMIT better
+  // than the write error does, so it is read even when the write failed.
+  Result<ProcFrame> hello = channel_->Read(hello_timeout_ms_);
+  if (!hello.ok()) return sent.ok() ? hello.status() : sent;
+  AID_RETURN_IF_ERROR(CheckServiceHello(*hello));
+  AID_RETURN_IF_ERROR(sent);
   AID_ASSIGN_OR_RETURN(ProcFrame frame, channel_->Read());
   if (frame.type == ProcMsgType::kError) {
     AID_ASSIGN_OR_RETURN(ErrorMsg error, DecodeError(frame.payload));

@@ -11,8 +11,10 @@
 //   if (outcome->checkpointed) { ... resume later with outcome->checkpoint
 //   .state ... } else { use outcome->report ... }
 //
-// Submit performs admission synchronously (ACCEPTED or the service's
-// structured ERROR as a Status); Await blocks for the terminal frame --
+// Connect only dials. Submit performs admission synchronously in one round
+// trip: it sends SUBMIT at once, then checks the service's HELLO and reads
+// ACCEPTED (or the service's structured ERROR as a Status). Await blocks
+// for the terminal frame --
 // REPORT, CHECKPOINT, or ERROR. Resuming is a fresh Connect + Submit with
 // `resume_state` set to the checkpoint bytes and the same spec.
 
@@ -57,13 +59,16 @@ struct ServiceOutcome {
 
 class ServiceClient {
  public:
-  /// Dials the service and verifies its HELLO (magic "AIDS", version).
+  /// Dials the service. `timeout_ms` bounds the TCP connect here, and
+  /// Submit's wait for the service's HELLO.
   static Result<std::unique_ptr<ServiceClient>> Connect(
       const Endpoint& endpoint, int timeout_ms = 5000);
 
-  /// Sends SUBMIT and waits for the admission verdict. A service-side
-  /// rejection (session cap, bad spec/options/state) is returned as the
-  /// ERROR frame's carried Status. Call once per client.
+  /// Sends SUBMIT, verifies the service's HELLO (magic "AIDS", version;
+  /// an ERROR in its place is returned as its Status) and waits for the
+  /// admission verdict. A service-side rejection (session cap, bad
+  /// spec/options/state) is returned as the ERROR frame's carried Status.
+  /// Call once per client.
   Result<AcceptedMsg> Submit(const ServiceSubmission& submission);
 
   /// Blocks for the terminal frame. timeout_ms <= 0 = forever. A service-
@@ -73,10 +78,11 @@ class ServiceClient {
   Result<ServiceOutcome> Await(int timeout_ms = 0);
 
  private:
-  explicit ServiceClient(std::unique_ptr<SocketChannel> channel)
-      : channel_(std::move(channel)) {}
+  ServiceClient(std::unique_ptr<SocketChannel> channel, int hello_timeout_ms)
+      : channel_(std::move(channel)), hello_timeout_ms_(hello_timeout_ms) {}
 
   std::unique_ptr<SocketChannel> channel_;
+  int hello_timeout_ms_;
 };
 
 #else  // !AID_NET_SUPPORTED

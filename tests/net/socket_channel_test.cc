@@ -1,8 +1,8 @@
 // Tests of the socket frame transport: SocketChannel framing over a real
 // socketpair (round trips, EOF/truncation, oversized-length rejection,
 // deadlines), the engine-side handshake against a misbehaving peer
-// (version mismatch), the v2 PING/PONG keepalive, endpoint parsing, and
-// EINTR robustness of frame I/O under a signal storm.
+// (version mismatch, a v2 host), the v2 PING/PONG keepalive, endpoint
+// parsing, and EINTR robustness of frame I/O under a signal storm.
 
 #include "net/channel.h"
 
@@ -102,12 +102,13 @@ TEST(SocketChannelTest, FramesRoundTripOverASocketPair) {
   EXPECT_EQ(decoded->trial_index, 42u);
   EXPECT_EQ(decoded->intervened, request.intervened);
 
-  VerdictMsg verdict;
-  verdict.failed = true;
-  ASSERT_TRUE(host.Write(ProcMsgType::kVerdict, EncodeVerdict(verdict)).ok());
+  TrialResultMsg result;
+  result.log.failed = true;
+  ASSERT_TRUE(
+      host.Write(ProcMsgType::kTrialResult, EncodeTrialResult(result)).ok());
   auto answer = engine.Read();
   ASSERT_TRUE(answer.ok());
-  EXPECT_EQ(answer->type, ProcMsgType::kVerdict);
+  EXPECT_EQ(answer->type, ProcMsgType::kTrialResult);
 }
 
 TEST(SocketChannelTest, TruncationMidFrameSurfacesAsAborted) {
@@ -115,7 +116,7 @@ TEST(SocketChannelTest, TruncationMidFrameSurfacesAsAborted) {
   // A length prefix promising 100 bytes, then the peer dies after 3.
   WireWriter writer;
   writer.U32(100);
-  writer.U8(static_cast<uint8_t>(ProcMsgType::kVerdict));
+  writer.U8(static_cast<uint8_t>(ProcMsgType::kTrialResult));
   writer.Raw("ab");
   ASSERT_EQ(::write(pair.a(), writer.buffer().data(), writer.buffer().size()),
             static_cast<ssize_t>(writer.buffer().size()));
@@ -201,6 +202,25 @@ TEST(SocketChannelTest, HandshakeVersionMismatchIsFailedPrecondition) {
   EXPECT_NE(catalog.status().message().find("version"), std::string::npos);
 }
 
+TEST(SocketChannelTest, HandshakeRejectsAVersion2Host) {
+  // A v2 host would stream TRACE_EVENT frames and a VERDICT per trial; the
+  // version check turns it away before the first trial.
+  SocketPair pair;
+  SocketChannel engine(pair.ReleaseA());
+  SocketChannel host(pair.ReleaseB());
+  HelloMsg hello;
+  hello.version = 2;
+  ASSERT_TRUE(host.Write(ProcMsgType::kHello, EncodeHello(hello)).ok());
+  SubjectHandshake options;
+  options.timeout_ms = 2000;
+  auto catalog = HandshakeSubject(engine, "spec", options);
+  ASSERT_FALSE(catalog.ok());
+  EXPECT_EQ(catalog.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(catalog.status().message().find("speaks v2, engine v3"),
+            std::string::npos)
+      << catalog.status();
+}
+
 TEST(SocketChannelTest, HandshakeRejectsWrongMagic) {
   SocketPair pair;
   SocketChannel engine(pair.ReleaseA());
@@ -262,12 +282,12 @@ TEST(SocketChannelTest, SignalStormDoesNotAbortFrameIo) {
   SocketPair pair;
   SocketChannel reader(pair.ReleaseB());
 
-  VerdictMsg verdict;
-  verdict.failed = true;
+  TrialResultMsg result;
+  result.log.failed = true;
   WireWriter writer;
-  const std::string payload = EncodeVerdict(verdict);
+  const std::string payload = EncodeTrialResult(result);
   writer.U32(static_cast<uint32_t>(payload.size()) + 1);
-  writer.U8(static_cast<uint8_t>(ProcMsgType::kVerdict));
+  writer.U8(static_cast<uint8_t>(ProcMsgType::kTrialResult));
   writer.Raw(payload);
   const std::string bytes = writer.Release();
 
@@ -293,10 +313,10 @@ TEST(SocketChannelTest, SignalStormDoesNotAbortFrameIo) {
   ::sigaction(SIGUSR1, &previous, nullptr);
 
   ASSERT_TRUE(frame.ok()) << frame.status();
-  EXPECT_EQ(frame->type, ProcMsgType::kVerdict);
-  auto decoded = DecodeVerdict(frame->payload);
+  EXPECT_EQ(frame->type, ProcMsgType::kTrialResult);
+  auto decoded = DecodeTrialResult(frame->payload);
   ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->failed);
+  EXPECT_TRUE(decoded->log.failed);
 }
 
 #else  // !AID_NET_SUPPORTED

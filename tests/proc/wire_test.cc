@@ -1,6 +1,7 @@
 // Tests of the process-isolation wire protocol: frame transport over real
-// pipes (framing, EOF, deadlines, corrupt lengths), message codecs, and the
-// subject-spec codec that ships whole subjects across the process boundary.
+// pipes (framing, buffered reads, EOF, deadlines, corrupt lengths), message
+// codecs (hostile TRIAL_RESULT payloads included), and the subject-spec
+// codec that ships whole subjects across the process boundary.
 
 #include "proc/wire.h"
 
@@ -58,7 +59,8 @@ TEST(ProcWireTest, FramesRoundTripOverAPipe) {
                   .ok());
   ASSERT_TRUE(WriteFrame(pipe.write_fd(), ProcMsgType::kShutdown, {}).ok());
 
-  auto frame = ReadFrame(pipe.read_fd());
+  FrameReader reader;
+  auto frame = reader.Read(pipe.read_fd());
   ASSERT_TRUE(frame.ok()) << frame.status();
   EXPECT_EQ(frame->type, ProcMsgType::kRunTrial);
   auto decoded = DecodeRunTrial(frame->payload);
@@ -66,7 +68,7 @@ TEST(ProcWireTest, FramesRoundTripOverAPipe) {
   EXPECT_EQ(decoded->trial_index, 42u);
   EXPECT_EQ(decoded->intervened, request.intervened);
 
-  auto shutdown = ReadFrame(pipe.read_fd());
+  auto shutdown = reader.Read(pipe.read_fd());
   ASSERT_TRUE(shutdown.ok());
   EXPECT_EQ(shutdown->type, ProcMsgType::kShutdown);
   EXPECT_TRUE(shutdown->payload.empty());
@@ -75,7 +77,7 @@ TEST(ProcWireTest, FramesRoundTripOverAPipe) {
 TEST(ProcWireTest, EofSurfacesAsAborted) {
   PipePair pipe;
   pipe.CloseWrite();
-  auto frame = ReadFrame(pipe.read_fd());
+  auto frame = FrameReader().Read(pipe.read_fd());
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kAborted);
 }
@@ -85,13 +87,13 @@ TEST(ProcWireTest, TruncatedFrameSurfacesAsAborted) {
   // A length prefix promising 100 bytes, then EOF after 3.
   WireWriter writer;
   writer.U32(100);
-  writer.U8(static_cast<uint8_t>(ProcMsgType::kVerdict));
+  writer.U8(static_cast<uint8_t>(ProcMsgType::kTrialResult));
   writer.Raw("ab");
   ASSERT_EQ(::write(pipe.write_fd(), writer.buffer().data(),
                     writer.buffer().size()),
             static_cast<ssize_t>(writer.buffer().size()));
   pipe.CloseWrite();
-  auto frame = ReadFrame(pipe.read_fd());
+  auto frame = FrameReader().Read(pipe.read_fd());
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kAborted);
 }
@@ -103,7 +105,7 @@ TEST(ProcWireTest, CorruptLengthIsInvalidArgument) {
   ASSERT_EQ(::write(pipe.write_fd(), writer.buffer().data(),
                     writer.buffer().size()),
             static_cast<ssize_t>(writer.buffer().size()));
-  auto frame = ReadFrame(pipe.read_fd());
+  auto frame = FrameReader().Read(pipe.read_fd());
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
 }
@@ -111,7 +113,7 @@ TEST(ProcWireTest, CorruptLengthIsInvalidArgument) {
 TEST(ProcWireTest, DeadlineExpiresOnASilentPeer) {
   PipePair pipe;
   const auto start = std::chrono::steady_clock::now();
-  auto frame = ReadFrameDeadline(pipe.read_fd(), 50);
+  auto frame = FrameReader().Read(pipe.read_fd(), 50);
   const auto elapsed = std::chrono::steady_clock::now() - start;
   ASSERT_FALSE(frame.ok());
   EXPECT_EQ(frame.status().code(), StatusCode::kDeadlineExceeded);
@@ -137,24 +139,104 @@ TEST(ProcWireTest, WriteDeadlineExpiresWhenThePeerStopsDraining) {
 TEST(ProcWireTest, DeadlineReadStillDeliversPromptFrames) {
   PipePair pipe;
   std::thread writer([&pipe]() {
-    VerdictMsg verdict;
-    verdict.failed = true;
-    EXPECT_TRUE(WriteFrame(pipe.write_fd(), ProcMsgType::kVerdict,
-                           EncodeVerdict(verdict))
+    TrialResultMsg result;
+    result.log.failed = true;
+    EXPECT_TRUE(WriteFrame(pipe.write_fd(), ProcMsgType::kTrialResult,
+                           EncodeTrialResult(result))
                     .ok());
   });
-  auto frame = ReadFrameDeadline(pipe.read_fd(), 5000);
+  auto frame = FrameReader().Read(pipe.read_fd(), 5000);
   writer.join();
   ASSERT_TRUE(frame.ok()) << frame.status();
-  auto verdict = DecodeVerdict(frame->payload);
-  ASSERT_TRUE(verdict.ok());
-  EXPECT_TRUE(verdict->failed);
+  auto result = DecodeTrialResult(frame->payload);
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->log.failed);
+}
+
+/// The bytes of one whole frame, as a single WriteFrame would send them.
+std::string FrameBytes(ProcMsgType type, std::string_view payload) {
+  WireWriter writer;
+  writer.U32(static_cast<uint32_t>(payload.size()) + 1);
+  writer.U8(static_cast<uint8_t>(type));
+  writer.Raw(payload);
+  return writer.Release();
+}
+
+void WriteRaw(int fd, std::string_view bytes) {
+  ASSERT_EQ(::write(fd, bytes.data(), bytes.size()),
+            static_cast<ssize_t>(bytes.size()));
+}
+
+TEST(ProcWireTest, BufferedReaderReturnsTwoFramesFromOneWrite) {
+  PipePair pipe;
+  PingMsg ping;
+  ping.token = 7;
+  WriteRaw(pipe.write_fd(), FrameBytes(ProcMsgType::kPing, EncodePing(ping)) +
+                                FrameBytes(ProcMsgType::kShutdown, ""));
+  FrameReader reader;
+  auto first = reader.Read(pipe.read_fd(), 1000);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->type, ProcMsgType::kPing);
+  auto token = DecodePing(first->payload);
+  ASSERT_TRUE(token.ok());
+  EXPECT_EQ(token->token, 7u);
+  // The second frame arrived with the first and waits in the buffer: with
+  // the pipe closed, a reader that had dropped it would see EOF.
+  pipe.CloseWrite();
+  auto second = reader.Read(pipe.read_fd(), 1000);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->type, ProcMsgType::kShutdown);
+  EXPECT_TRUE(second->payload.empty());
+}
+
+TEST(ProcWireTest, BufferedReaderJoinsAFrameSplitAcrossThreeWrites) {
+  PipePair pipe;
+  TrialResultMsg result;
+  result.log.failed = true;
+  for (PredicateId id = 0; id < 300; ++id) result.log.observed[id] = {id, id + 1};
+  const std::string bytes =
+      FrameBytes(ProcMsgType::kTrialResult, EncodeTrialResult(result));
+  ASSERT_GT(bytes.size(), 4096u);  // longer than a fresh buffer, too
+  // Split inside the length prefix and again inside the payload.
+  std::thread writer([&]() {
+    WriteRaw(pipe.write_fd(), std::string_view(bytes).substr(0, 2));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    WriteRaw(pipe.write_fd(), std::string_view(bytes).substr(2, 1000));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    WriteRaw(pipe.write_fd(), std::string_view(bytes).substr(1002));
+  });
+  FrameReader reader;
+  auto frame = reader.Read(pipe.read_fd(), 5000);
+  writer.join();
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->type, ProcMsgType::kTrialResult);
+  auto decoded = DecodeTrialResult(frame->payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded->log.failed);
+  EXPECT_EQ(decoded->log.observed.size(), 300u);
+  EXPECT_EQ(decoded->log.observed.at(299).end, 300);
+}
+
+TEST(ProcWireTest, DeadlineKeepsAPartialFrameBuffered) {
+  PipePair pipe;
+  const std::string bytes = FrameBytes(ProcMsgType::kShutdown, "");
+  WriteRaw(pipe.write_fd(), std::string_view(bytes).substr(0, 3));
+  FrameReader reader;
+  auto expired = reader.Read(pipe.read_fd(), 20);
+  ASSERT_FALSE(expired.ok());
+  EXPECT_EQ(expired.status().code(), StatusCode::kDeadlineExceeded);
+  // The rest arrives late: the frame is still whole and aligned.
+  WriteRaw(pipe.write_fd(), std::string_view(bytes).substr(3));
+  auto frame = reader.Read(pipe.read_fd(), 1000);
+  ASSERT_TRUE(frame.ok()) << frame.status();
+  EXPECT_EQ(frame->type, ProcMsgType::kShutdown);
 }
 
 #else  // !AID_PROC_SUPPORTED
 
 TEST(ProcWireTest, UnsupportedPlatformReportsUnimplemented) {
-  EXPECT_EQ(ReadFrame(0).status().code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(FrameReader().Read(0).status().code(),
+            StatusCode::kUnimplemented);
 }
 
 #endif  // AID_PROC_SUPPORTED
@@ -186,6 +268,103 @@ TEST(ProcWireTest, TruncatedMessagePayloadsFailCleanly) {
   const std::string run = EncodeRunTrial(request);
   for (size_t cut = 0; cut < run.size(); ++cut) {
     EXPECT_FALSE(DecodeRunTrial(run.substr(0, cut)).ok());
+  }
+}
+
+TEST(ProcWireTest, TrialResultRoundTripsEveryObservation) {
+  TrialResultMsg result;
+  result.log.failed = true;
+  result.log.observed[3] = {-5, 7};
+  result.log.observed[1 << 20] = {1LL << 40, (1LL << 40) + 9};
+  auto decoded = DecodeTrialResult(EncodeTrialResult(result));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_TRUE(decoded->log.failed);
+  EXPECT_TRUE(decoded->log.complete());
+  ASSERT_EQ(decoded->log.observed.size(), 2u);
+  EXPECT_EQ(decoded->log.observed.at(3).start, -5);
+  EXPECT_EQ(decoded->log.observed.at(3).end, 7);
+  EXPECT_EQ(decoded->log.observed.at(1 << 20).end, (1LL << 40) + 9);
+  EXPECT_FALSE(decoded->has_host_telemetry);
+}
+
+/// One encoded observation entry: i32 predicate, i64 start, i64 end.
+void AppendEntry(WireWriter& writer, PredicateId id) {
+  writer.I32(id);
+  writer.I64(10);
+  writer.I64(20);
+}
+
+void ExpectHostileTrialResult(const std::string& payload) {
+  auto decoded = DecodeTrialResult(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+      << decoded.status();
+}
+
+TEST(ProcWireTest, TrialResultWithACountPastThePayloadIsRejected) {
+  // A count of ~4 billion entries behind 20 bytes: rejected before any
+  // allocation is sized from it.
+  WireWriter writer;
+  writer.U8(0);
+  writer.U32(0xFFFFFFFFu);
+  AppendEntry(writer, 1);
+  ExpectHostileTrialResult(writer.Release());
+}
+
+TEST(ProcWireTest, TrialResultWithATruncatedEntryIsRejected) {
+  WireWriter writer;
+  writer.U8(1);
+  writer.U32(2);
+  AppendEntry(writer, 1);
+  AppendEntry(writer, 2);
+  std::string payload = writer.Release();
+  payload.resize(payload.size() - 3);  // the second entry loses its tail
+  ExpectHostileTrialResult(payload);
+  // A single missing byte of the only entry, too.
+  WireWriter one;
+  one.U8(1);
+  one.U32(1);
+  one.I32(1);
+  one.I64(10);
+  one.U32(20);  // four of the end's eight bytes
+  ExpectHostileTrialResult(one.Release());
+}
+
+TEST(ProcWireTest, TrialResultWithATruncatedTelemetryBlockIsRejected) {
+  TrialResultMsg result;
+  result.log.observed[2] = {1, 2};
+  result.has_host_telemetry = true;
+  result.host_recv_us = 99;
+  result.host_spans.push_back(WireHostSpan{"host.trial", 100, 200});
+  const std::string whole = EncodeTrialResult(result);
+  TrialResultMsg plain = result;
+  plain.has_host_telemetry = false;
+  const size_t block_start = EncodeTrialResult(plain).size();
+  // Every cut strictly inside the telemetry block fails.
+  for (size_t cut = block_start + 1; cut < whole.size(); ++cut) {
+    ExpectHostileTrialResult(whole.substr(0, cut));
+  }
+  // A span count past the block's bytes fails without allocating.
+  WireWriter writer;
+  writer.U8(0);
+  writer.U32(0);
+  writer.U64(99);
+  writer.U32(0xFFFFFFFFu);
+  ExpectHostileTrialResult(writer.Release());
+}
+
+TEST(ProcWireTest, TrialResultWithTrailingGarbageIsRejected) {
+  TrialResultMsg result;
+  result.log.failed = true;
+  result.log.observed[5] = {1, 2};
+  ExpectHostileTrialResult(EncodeTrialResult(result) + "junk");
+  result.has_host_telemetry = true;
+  result.host_spans.push_back(WireHostSpan{"host.trial", 1, 2});
+  ExpectHostileTrialResult(EncodeTrialResult(result) + "x");
+  // A cut anywhere in front of the entries fails as well.
+  const std::string whole = EncodeTrialResult(TrialResultMsg{});
+  for (size_t cut = 0; cut < whole.size(); ++cut) {
+    ExpectHostileTrialResult(whole.substr(0, cut));
   }
 }
 

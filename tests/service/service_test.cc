@@ -13,7 +13,9 @@
 //     flaky subjects included (the service reparks the rebuilt target at
 //     the checkpoint's trial cursor);
 //   * codec: the DiscoveryReport round-trips field-for-field, and corrupt
-//     payloads are rejected rather than misread.
+//     payloads are rejected rather than misread;
+//   * pipelined admission: Submit sends SUBMIT before reading the service's
+//     HELLO, and still fails on a wrong HELLO or an ERROR in its place.
 //
 // Targets stay in-process (no fork), so the suite runs under TSan in CI.
 
@@ -31,6 +33,10 @@
 #include "service/client.h"
 #include "service/protocol.h"
 #include "synth/model.h"
+
+#if AID_NET_SUPPORTED
+#include <unistd.h>
+#endif
 
 namespace aid {
 namespace {
@@ -533,6 +539,78 @@ TEST(ServiceTest, RejectsAFrameThatIsNotASubmit) {
   ASSERT_TRUE(error.ok()) << error.status();
   EXPECT_EQ(error->code, StatusCode::kInvalidArgument);
   EXPECT_NE(error->message.find("SUBMIT"), std::string::npos);
+}
+
+/// A one-connection stand-in for a service that opens with `first` (a
+/// HELLO or an ERROR) and then reads the client's SUBMIT before hanging
+/// up, as the real daemon reads before it answers.
+class FakeServicePeer {
+ public:
+  FakeServicePeer(ProcMsgType type, std::string payload) {
+    auto listen_fd = ListenOn("127.0.0.1", 0, 1);
+    EXPECT_TRUE(listen_fd.ok()) << listen_fd.status();
+    listen_fd_ = *listen_fd;
+    auto port = BoundPort(listen_fd_);
+    EXPECT_TRUE(port.ok()) << port.status();
+    endpoint_ = Endpoint{"127.0.0.1", *port};
+    thread_ = std::thread([this, type, payload = std::move(payload)]() {
+      auto conn = AcceptConnection(listen_fd_, /*timeout_ms=*/5000);
+      ASSERT_TRUE(conn.ok()) << conn.status();
+      SocketChannel channel(*conn);
+      ASSERT_TRUE(channel.Write(type, payload, 5000).ok());
+      auto submit = channel.Read(/*deadline_ms=*/5000);
+      ASSERT_TRUE(submit.ok()) << submit.status();
+      EXPECT_EQ(submit->type, AsProcMsgType(ServiceMsgType::kSubmit));
+    });
+  }
+  ~FakeServicePeer() {
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  const Endpoint& endpoint() const { return endpoint_; }
+
+ private:
+  int listen_fd_ = -1;
+  Endpoint endpoint_;
+  std::thread thread_;
+};
+
+/// Connect only dials; Submit then fails on the peer's opening frame with
+/// the codes Connect returned when it read that frame itself.
+Status SubmitTo(const Endpoint& endpoint) {
+  auto client = ServiceClient::Connect(endpoint, /*timeout_ms=*/5000);
+  EXPECT_TRUE(client.ok()) << client.status();
+  if (!client.ok()) return client.status();
+  auto model = Figure4Model();
+  ServiceSubmission submission;
+  submission.spec = ModelSpec(model.get());
+  return (*client)->Submit(submission).status();
+}
+
+TEST(ServiceTest, SubmitFailsOnAVersionMismatchedService) {
+  HelloMsg hello;
+  hello.magic = kServiceMagic;
+  hello.version = kServiceProtocolVersion + 1;
+  FakeServicePeer peer(ProcMsgType::kHello, EncodeHello(hello));
+  const Status status = SubmitTo(peer.endpoint());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("version mismatch"), std::string::npos)
+      << status;
+}
+
+TEST(ServiceTest, SubmitFailsOnARunnerPeer) {
+  FakeServicePeer peer(ProcMsgType::kHello, EncodeHello(HelloMsg{}));
+  const Status status = SubmitTo(peer.endpoint());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("subject protocol"), std::string::npos)
+      << status;
+}
+
+TEST(ServiceTest, SubmitReturnsAnErrorSentInPlaceOfHello) {
+  FakeServicePeer peer(ProcMsgType::kError,
+                       EncodeError(Status::FailedPrecondition("draining")));
+  const Status status = SubmitTo(peer.endpoint());
+  EXPECT_EQ(status, Status::FailedPrecondition("draining"));
 }
 
 TEST(ServiceTest, RejectsACorruptStateBlob) {

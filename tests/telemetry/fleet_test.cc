@@ -96,7 +96,7 @@ TEST_F(TelemetryFleetTest, HostSpansImportUnderEngineTrialSpans) {
   EXPECT_EQ(trials.size(),
             static_cast<size_t>(report->discovery.executions));
 
-  // ...and each one adopted the pair of host-side spans the VERDICT
+  // ...and each one adopted the pair of host-side spans the TRIAL_RESULT
   // carried back: host.trial (whole request handling) and host.subject_run
   // (just the subject execution), re-based into the engine's timeline and
   // clamped inside their trial span.

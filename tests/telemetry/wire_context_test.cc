@@ -1,9 +1,9 @@
 // Wire-level tests of the telemetry extensions to the subject protocol:
 // the optional SPAN_CONTEXT trailing fields on RUN_TRIAL and the optional
-// host-telemetry block on VERDICT. The extensions are additive -- with the
-// flags off the encoded bytes are identical to the pre-telemetry layout,
-// and a decoder fed a context-free payload (what an old peer would send)
-// reports the extension absent instead of failing.
+// host-telemetry block on TRIAL_RESULT. The extensions are additive -- with
+// the flags off the encoded bytes are identical to the telemetry-free
+// layout, and a decoder fed a context-free payload reports the extension
+// absent instead of failing.
 
 #include <string>
 
@@ -72,30 +72,33 @@ TEST(RunTrialWireTest, ContextFreeBytesMatchPreTelemetryLayout) {
   EXPECT_EQ(longer.compare(0, shorter.size(), shorter), 0);
 }
 
-TEST(VerdictWireTest, RoundTripsWithoutHostTelemetry) {
-  VerdictMsg msg;
-  msg.failed = true;
-  const std::string payload = EncodeVerdict(msg);
+TEST(TrialResultWireTest, RoundTripsWithoutHostTelemetry) {
+  TrialResultMsg msg;
+  msg.log.failed = true;
+  const std::string payload = EncodeTrialResult(msg);
 
-  auto decoded = DecodeVerdict(payload);
+  auto decoded = DecodeTrialResult(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_TRUE(decoded->failed);
+  EXPECT_TRUE(decoded->log.failed);
   EXPECT_FALSE(decoded->has_host_telemetry);
   EXPECT_TRUE(decoded->host_spans.empty());
 }
 
-TEST(VerdictWireTest, RoundTripsHostTelemetryBlock) {
-  VerdictMsg msg;
-  msg.failed = false;
+TEST(TrialResultWireTest, RoundTripsHostTelemetryBlock) {
+  TrialResultMsg msg;
+  msg.log.failed = false;
+  msg.log.observed[4] = {10, 20};
   msg.has_host_telemetry = true;
   msg.host_recv_us = 123456789;
   msg.host_spans.push_back(WireHostSpan{"host.trial", 100, 900});
   msg.host_spans.push_back(WireHostSpan{"host.subject_run", 150, 850});
-  const std::string payload = EncodeVerdict(msg);
+  const std::string payload = EncodeTrialResult(msg);
 
-  auto decoded = DecodeVerdict(payload);
+  auto decoded = DecodeTrialResult(payload);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_FALSE(decoded->failed);
+  EXPECT_FALSE(decoded->log.failed);
+  ASSERT_TRUE(decoded->log.Has(4));
+  EXPECT_EQ(decoded->log.observed.at(4).end, 20);
   ASSERT_TRUE(decoded->has_host_telemetry);
   EXPECT_EQ(decoded->host_recv_us, 123456789u);
   ASSERT_EQ(decoded->host_spans.size(), 2u);
@@ -107,31 +110,32 @@ TEST(VerdictWireTest, RoundTripsHostTelemetryBlock) {
   EXPECT_EQ(decoded->host_spans[1].end_us, 850u);
 }
 
-TEST(VerdictWireTest, TelemetryFreeBytesMatchPreTelemetryLayout) {
-  VerdictMsg plain;
-  plain.failed = false;
+TEST(TrialResultWireTest, TelemetryFreeBytesAreAPrefixOfTheTelemetryBlock) {
+  TrialResultMsg plain;
+  plain.log.failed = false;
+  plain.log.observed[1] = {0, 5};
 
-  VerdictMsg with_garbage = plain;
+  TrialResultMsg with_garbage = plain;
   with_garbage.host_recv_us = 777;  // has_host_telemetry still false
   with_garbage.host_spans.push_back(WireHostSpan{"ignored", 1, 2});
-  EXPECT_EQ(EncodeVerdict(plain), EncodeVerdict(with_garbage));
+  EXPECT_EQ(EncodeTrialResult(plain), EncodeTrialResult(with_garbage));
 
-  VerdictMsg with_block = plain;
+  TrialResultMsg with_block = plain;
   with_block.has_host_telemetry = true;
   with_block.host_recv_us = 1;
-  const std::string longer = EncodeVerdict(with_block);
-  const std::string shorter = EncodeVerdict(plain);
+  const std::string longer = EncodeTrialResult(with_block);
+  const std::string shorter = EncodeTrialResult(plain);
   ASSERT_LT(shorter.size(), longer.size());
   EXPECT_EQ(longer.compare(0, shorter.size(), shorter), 0);
 }
 
-TEST(VerdictWireTest, EmptyHostSpanListStillRoundTrips) {
+TEST(TrialResultWireTest, EmptyHostSpanListStillRoundTrips) {
   // A host with tracing compiled out answers a SPAN_CONTEXT request with
   // the telemetry block present but empty (the recv anchor alone).
-  VerdictMsg msg;
+  TrialResultMsg msg;
   msg.has_host_telemetry = true;
   msg.host_recv_us = 42;
-  auto decoded = DecodeVerdict(EncodeVerdict(msg));
+  auto decoded = DecodeTrialResult(EncodeTrialResult(msg));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   EXPECT_TRUE(decoded->has_host_telemetry);
   EXPECT_EQ(decoded->host_recv_us, 42u);
